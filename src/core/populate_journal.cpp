@@ -1,191 +1,126 @@
 #include "core/populate_journal.h"
 
-#include <cstring>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/fs.h"
+#include "util/logging.h"
 
 namespace cp::core {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'P', 'P', 'J'};
-constexpr std::uint32_t kVersion = 1;
-// A single record holds at most one round of patterns; anything larger than
-// this is a corrupt length field, not a real payload.
-constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
-
-template <typename T>
-void put(std::string& buf, const T& v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(v));
-}
-
-template <typename T>
-bool get(const std::string& buf, std::size_t& pos, T& v) {
-  if (buf.size() - pos < sizeof(v)) return false;
-  std::memcpy(&v, buf.data() + pos, sizeof(v));
-  pos += sizeof(v);
-  return true;
-}
+// CPPJ is a record log (util/record_log.h) under this magic: one header
+// record carrying the run fingerprint, then one record per completed round.
+constexpr std::string_view kMagic = "CPPJ0002";
+constexpr std::uint8_t kHeader = 'H';
+constexpr std::uint8_t kRound = 'R';
 
 std::string header_payload(const PopulateJournal::Fingerprint& fp) {
   std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  put(buf, kVersion);
-  put(buf, fp.seed);
-  put(buf, fp.count);
-  put(buf, fp.width_nm);
-  put(buf, fp.height_nm);
-  put(buf, fp.max_attempts);
+  util::put_u64(buf, fp.seed);
+  util::put_u32(buf, static_cast<std::uint32_t>(fp.count));
+  util::put_u64(buf, static_cast<std::uint64_t>(fp.width_nm));
+  util::put_u64(buf, static_cast<std::uint64_t>(fp.height_nm));
+  util::put_u64(buf, static_cast<std::uint64_t>(fp.max_attempts));
   return buf;
 }
 
 void put_deltas(std::string& buf, const squish::DeltaVec& d) {
-  put(buf, static_cast<std::uint32_t>(d.size()));
-  for (geometry::Coord v : d) put(buf, static_cast<std::int64_t>(v));
+  util::put_u32(buf, static_cast<std::uint32_t>(d.size()));
+  for (geometry::Coord v : d) util::put_u64(buf, static_cast<std::uint64_t>(v));
 }
 
-bool get_deltas(const std::string& buf, std::size_t& pos, squish::DeltaVec& d) {
-  std::uint32_t n = 0;
-  if (!get(buf, pos, n)) return false;
-  if (buf.size() - pos < static_cast<std::size_t>(n) * sizeof(std::int64_t)) return false;
+void get_deltas(util::Cursor& cur, squish::DeltaVec& d) {
+  const std::uint32_t n = cur.u32();
+  util::Cursor values(cur.bytes(std::size_t{n} * 8));  // bounds-checked before resize
   d.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::int64_t v = 0;
-    get(buf, pos, v);
-    d[i] = static_cast<geometry::Coord>(v);
-  }
-  return true;
+  for (auto& v : d) v = static_cast<geometry::Coord>(values.u64());
 }
 
 void put_pattern(std::string& buf, const squish::SquishPattern& p) {
-  put(buf, static_cast<std::int32_t>(p.topology.rows()));
-  put(buf, static_cast<std::int32_t>(p.topology.cols()));
-  // On-disk format stays one byte per cell regardless of the packed in-memory
-  // representation, so journals written before the packing refactor replay.
+  util::put_u32(buf, static_cast<std::uint32_t>(p.topology.rows()));
+  util::put_u32(buf, static_cast<std::uint32_t>(p.topology.cols()));
+  // One byte per cell: from_bytes rejects anything but 0/1 on the way back.
   const std::vector<std::uint8_t> cells = p.topology.to_bytes();
   buf.append(reinterpret_cast<const char*>(cells.data()), cells.size());
   put_deltas(buf, p.dx);
   put_deltas(buf, p.dy);
 }
 
-bool get_pattern(const std::string& buf, std::size_t& pos, squish::SquishPattern& p) {
-  std::int32_t rows = 0, cols = 0;
-  if (!get(buf, pos, rows) || !get(buf, pos, cols)) return false;
-  if (rows < 0 || cols < 0 || rows > 1 << 16 || cols > 1 << 16) return false;
-  const std::size_t cells = static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  if (buf.size() - pos < cells) return false;
-  try {
-    // from_bytes rejects any cell byte outside {0,1}: a record that passed the
-    // CRC but carries non-binary cells is treated as corrupt, not replayed.
-    p.topology = squish::Topology::from_bytes(
-        rows, cols, reinterpret_cast<const std::uint8_t*>(buf.data() + pos), cells);
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  pos += cells;
-  return get_deltas(buf, pos, p.dx) && get_deltas(buf, pos, p.dy);
+squish::SquishPattern get_pattern(util::Cursor& cur) {
+  const std::uint32_t rows = cur.u32();
+  const std::uint32_t cols = cur.u32();
+  if (rows > 1u << 16 || cols > 1u << 16) throw std::runtime_error("corrupt record payload");
+  const std::string_view cells = cur.bytes(std::size_t{rows} * cols);
+  squish::SquishPattern p;
+  p.topology = squish::Topology::from_bytes(static_cast<int>(rows), static_cast<int>(cols),
+                                            reinterpret_cast<const std::uint8_t*>(cells.data()),
+                                            cells.size());
+  get_deltas(cur, p.dx);
+  get_deltas(cur, p.dy);
+  return p;
 }
 
-/// Read the next [len][payload][crc] record; returns false at end-of-file or
-/// on any corruption (torn tail).
-bool next_record(const std::string& data, std::size_t& pos, std::string& payload) {
-  std::uint32_t len = 0;
-  if (data.size() - pos < sizeof(len)) return false;
-  std::memcpy(&len, data.data() + pos, sizeof(len));
-  if (len == 0 || len > kMaxRecordBytes) return false;
-  if (data.size() - pos < sizeof(len) + len + sizeof(std::uint32_t)) return false;
-  pos += sizeof(len);
-  payload.assign(data.data() + pos, len);
-  pos += len;
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, data.data() + pos, sizeof(stored));
-  pos += sizeof(stored);
-  return stored == util::crc32(payload);
+void read_round(std::string_view payload, PopulateJournal::State& state) {
+  util::Cursor cur(payload);
+  state.attempts = static_cast<long long>(cur.u64());
+  state.rounds = static_cast<int>(cur.u32());
+  state.next_stream = cur.u64();
+  const std::uint32_t n_new = cur.u32();
+  for (std::uint32_t i = 0; i < n_new; ++i) state.patterns.push_back(get_pattern(cur));
+  if (!cur.exhausted()) throw std::runtime_error("corrupt record payload");
 }
 
 }  // namespace
 
 bool PopulateJournal::open(const Fingerprint& fp, State* state) {
-  std::string data;
+  const std::string header = header_payload(fp);
+  State restored;
+  bool same_run = false;
+  std::uint64_t valid_end = 0;
   try {
-    data = util::read_file(path_, kMaxRecordBytes);
+    const util::LogScan scan =
+        util::scan_log(path_, kMagic, [&](std::uint8_t type, std::string_view payload) {
+          if (!same_run) {
+            if (type != kHeader || payload != header) throw std::runtime_error("another run");
+            same_run = true;
+          } else if (type == kRound) {
+            read_round(payload, restored);
+          } else {
+            throw std::runtime_error("unknown record type");
+          }
+        });
+    if (same_run && scan.end != util::LogScan::End::kCorrupt) valid_end = scan.valid_end;
   } catch (const std::exception&) {
-    data.clear();  // missing or unreadable: start fresh below
+    // Unreadable, foreign, another run's or undecodable: start fresh below.
   }
 
-  const std::string expect_header = header_payload(fp);
-  std::size_t pos = 0;
-  std::string payload;
-  bool resumed = false;
-  if (next_record(data, pos, payload) && payload == expect_header) {
-    // Replay every intact round record; each carries the full counters and
-    // the patterns accepted during that round.
-    State restored;
-    while (next_record(data, pos, payload)) {
-      std::size_t p = 0;
-      std::int64_t attempts = 0;
-      std::int32_t rounds = 0;
-      std::uint64_t next_stream = 0;
-      std::uint32_t n_new = 0;
-      if (!get(payload, p, attempts) || !get(payload, p, rounds) ||
-          !get(payload, p, next_stream) || !get(payload, p, n_new)) {
-        break;
-      }
-      std::vector<squish::SquishPattern> round_patterns(n_new);
-      bool ok = true;
-      for (std::uint32_t i = 0; i < n_new && ok; ++i) ok = get_pattern(payload, p, round_patterns[i]);
-      if (!ok) break;
-      restored.attempts = attempts;
-      restored.rounds = rounds;
-      restored.next_stream = next_stream;
-      for (auto& pat : round_patterns) restored.patterns.push_back(std::move(pat));
-    }
-    if (restored.rounds > 0) {
-      *state = std::move(restored);
-      resumed = true;
-    }
+  writer_.emplace(path_, kMagic, valid_end);
+  if (valid_end == 0) {
+    writer_->append(kHeader, header);
+    return false;
   }
-
-  if (resumed) {
-    out_.open(path_, std::ios::binary | std::ios::app);
-  } else {
-    start_fresh(fp);
-  }
-  if (!out_) throw std::runtime_error("PopulateJournal: cannot open " + path_);
-  return resumed;
-}
-
-void PopulateJournal::start_fresh(const Fingerprint& fp) {
-  out_.open(path_, std::ios::binary | std::ios::trunc);
-  if (!out_) return;
-  const std::string payload = header_payload(fp);
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = util::crc32(payload);
-  out_.write(reinterpret_cast<const char*>(&len), sizeof(len));
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out_.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  out_.flush();
+  if (restored.rounds == 0) return false;
+  *state = std::move(restored);
+  return true;
 }
 
 void PopulateJournal::append_round(long long attempts, int rounds, std::uint64_t next_stream,
                                    const std::vector<squish::SquishPattern>& patterns,
                                    std::size_t first_new) {
-  if (!out_.is_open()) return;
+  if (!writer_) return;
   std::string payload;
-  put(payload, static_cast<std::int64_t>(attempts));
-  put(payload, static_cast<std::int32_t>(rounds));
-  put(payload, next_stream);
-  put(payload, static_cast<std::uint32_t>(patterns.size() - first_new));
+  util::put_u64(payload, static_cast<std::uint64_t>(attempts));
+  util::put_u32(payload, static_cast<std::uint32_t>(rounds));
+  util::put_u64(payload, next_stream);
+  util::put_u32(payload, static_cast<std::uint32_t>(patterns.size() - first_new));
   for (std::size_t i = first_new; i < patterns.size(); ++i) put_pattern(payload, patterns[i]);
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = util::crc32(payload);
-  out_.write(reinterpret_cast<const char*>(&len), sizeof(len));
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out_.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  out_.flush();
+  try {
+    writer_->append(kRound, payload);
+  } catch (const std::exception& e) {
+    // Losing the journal only costs recomputation after a crash.
+    CP_LOG_WARN << "populate journal " << path_ << " disabled: " << e.what();
+    writer_.reset();
+  }
 }
 
 }  // namespace cp::core

@@ -9,21 +9,19 @@
 // candidates are derived statelessly from (seed, stream index), the resumed
 // library is bit-identical to an uninterrupted run.
 //
-// File layout: a sequence of records, each
-//   [u32 payload_len][payload][u32 crc32(payload)]
-// The first record is a header carrying a magic/version and the run
-// fingerprint (seed, count, window, attempt budget). A crash mid-append
-// leaves a torn final record, which fails its CRC and is dropped on load;
-// everything before it is intact. A journal whose fingerprint does not
-// match the current run is discarded and restarted fresh.
+// The file is a util::RecordWriter log (docs/ROBUSTNESS.md "Record logs")
+// whose first record is the run fingerprint (seed, count, window, attempt
+// budget). A journal of another run, or a damaged one, is discarded and
+// restarted fresh.
 
 #include <cstdint>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "geometry/polygon.h"
 #include "squish/squish.h"
+#include "util/record_log.h"
 
 namespace cp::core {
 
@@ -52,25 +50,24 @@ class PopulateJournal {
   /// Open the journal for a run with fingerprint `fp`. When the file exists,
   /// matches the fingerprint and holds at least one intact round record,
   /// restores that state into *state and returns true (later appends extend
-  /// the journal). A missing, foreign, fingerprint-mismatched or
-  /// header-corrupt file starts a fresh journal (truncating it) and returns
-  /// false. Never throws on corrupt content — a journal is an optimisation,
-  /// losing it only costs recomputation.
+  /// the journal after truncating a torn tail). A missing, foreign,
+  /// fingerprint-mismatched or corrupt file starts a fresh journal
+  /// (truncating it) and returns false. Never throws on corrupt content — a
+  /// journal is an optimisation, losing it only costs recomputation.
   bool open(const Fingerprint& fp, State* state);
 
   /// Append one completed round: the counter values after the round and the
-  /// patterns accepted during it (patterns[first_new..end)). Flushed
-  /// immediately; a torn append is dropped by the next open().
+  /// patterns accepted during it (patterns[first_new..end)), in one write(2);
+  /// a torn append is dropped by the next open(). A failed append (e.g. a
+  /// round over the record cap) logs a warning and stops journaling.
   void append_round(long long attempts, int rounds, std::uint64_t next_stream,
                     const std::vector<squish::SquishPattern>& patterns, std::size_t first_new);
 
   const std::string& path() const { return path_; }
 
  private:
-  void start_fresh(const Fingerprint& fp);
-
   std::string path_;
-  std::ofstream out_;
+  std::optional<util::RecordWriter> writer_;
 };
 
 }  // namespace cp::core

@@ -1,10 +1,5 @@
 #include "pattlib/pattern_store.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
@@ -12,96 +7,25 @@
 #include "obs/registry.h"
 #include "util/fault.h"
 #include "util/fs.h"
+#include "util/record_log.h"
 #include "util/strings.h"
 
 namespace cp::pattlib {
 
 namespace {
 
-// CPPL container layout (docs/LIBRARY.md): an 8-byte file magic, then an
-// append-only sequence of independently framed records:
-//   [u8 type][u32le payload_len][payload][u32le crc32(type|len|payload)]
-// Frame independence is what makes torn-tail recovery exact: a record either
-// verifies completely or is not part of the store.
+// CPPL (docs/LIBRARY.md) is a record log (util/record_log.h) under this
+// magic; the store owns only the two payload codecs below.
 constexpr std::string_view kFileMagic = "CPPLIB01";
 constexpr std::uint8_t kPatternRecord = 1;
 constexpr std::uint8_t kDrcRecord = 2;
-constexpr std::size_t kFrameOverhead = 1 + 4 + 4;
-constexpr std::uint64_t kMaxStoreBytes = 4ULL << 30;   // open-time slurp cap
-constexpr std::uint32_t kMaxRecordBytes = 64u << 20;   // per-record sanity cap
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>(v >> 8));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  if (s.size() > 0xffff) throw std::invalid_argument("pattlib: metadata string too long");
-  put_u16(out, static_cast<std::uint16_t>(s.size()));
-  out += s;
-}
-
-/// Bounds-checked little-endian cursor over a record payload; any over-read
-/// is a corrupt record, reported as such.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  std::uint16_t u16() { return static_cast<std::uint16_t>(raw(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(raw(4)); }
-  std::uint64_t u64() { return raw(8); }
-  double f64() {
-    const std::uint64_t bits = raw(8);
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::size_t n = u16();
-    need(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  std::string_view bytes(std::size_t n) {
-    need(n);
-    std::string_view v = data_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-  bool exhausted() const { return pos_ == data_.size(); }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > data_.size()) throw std::runtime_error("pattlib: corrupt record payload");
-  }
-  std::uint64_t raw(int width) {
-    need(static_cast<std::size_t>(width));
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(width);
-    return v;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
+using util::Cursor;
+using util::put_f64;
+using util::put_str16;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
 
 std::string serialize_pattern(const StoredPattern& e) {
   const squish::Topology& t = e.pattern.topology;
@@ -133,9 +57,9 @@ std::string serialize_pattern(const StoredPattern& e) {
   };
   put_deltas(e.pattern.dx);
   put_deltas(e.pattern.dy);
-  put_string(p, e.meta.source);
-  put_string(p, e.meta.structure);
-  put_string(p, e.meta.style_tag);
+  put_str16(p, e.meta.source);
+  put_str16(p, e.meta.structure);
+  put_str16(p, e.meta.style_tag);
   put_u32(p, static_cast<std::uint32_t>(e.meta.layer));
   put_u64(p, static_cast<std::uint64_t>(e.meta.window_x));
   put_u64(p, static_cast<std::uint64_t>(e.meta.window_y));
@@ -167,9 +91,9 @@ StoredPattern deserialize_pattern(std::string_view payload) {
   for (auto& d : e.pattern.dx) d = static_cast<geometry::Coord>(cur.u32());
   e.pattern.dy.resize(static_cast<std::size_t>(rows));
   for (auto& d : e.pattern.dy) d = static_cast<geometry::Coord>(cur.u32());
-  e.meta.source = cur.str();
-  e.meta.structure = cur.str();
-  e.meta.style_tag = cur.str();
+  e.meta.source = cur.str16();
+  e.meta.structure = cur.str16();
+  e.meta.style_tag = cur.str16();
   e.meta.layer = static_cast<int>(cur.u32());
   e.meta.window_x = static_cast<geometry::Coord>(cur.u64());
   e.meta.window_y = static_cast<geometry::Coord>(cur.u64());
@@ -182,21 +106,6 @@ StoredPattern deserialize_pattern(std::string_view payload) {
   if (!cur.exhausted()) throw std::runtime_error("pattlib: corrupt record payload");
   if (!e.pattern.well_formed()) throw std::runtime_error("pattlib: corrupt record payload");
   return e;
-}
-
-std::string frame_record(std::uint8_t type, const std::string& payload) {
-  std::string frame;
-  frame.reserve(payload.size() + kFrameOverhead);
-  frame.push_back(static_cast<char>(type));
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame += payload;
-  const std::uint32_t crc = util::crc32(std::string_view(frame));
-  put_u32(frame, crc);
-  return frame;
-}
-
-[[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
-  throw std::runtime_error(what + " '" + path + "': " + std::strerror(errno));
 }
 
 }  // namespace
@@ -228,13 +137,6 @@ std::uint64_t topology_hash(const squish::Topology& t) {
 
 PatternStore::PatternStore(std::string path) : path_(std::move(path)) { open_and_replay(); }
 
-PatternStore::~PatternStore() {
-  if (fd_ >= 0) {
-    ::fsync(fd_);
-    ::close(fd_);
-  }
-}
-
 void PatternStore::open_and_replay() {
   namespace fs = std::filesystem;
   const fs::path target(path_);
@@ -247,142 +149,48 @@ void PatternStore::open_and_replay() {
     }
   }
 
-  std::string data;
-  if (fs::exists(target)) data = util::read_file(path_, kMaxStoreBytes);
-
-  std::uint64_t valid_end = 0;
-  if (data.size() < kFileMagic.size()) {
-    // New store, or a writer died inside the 8-byte header: start fresh.
-    recovered_bytes_ = data.size();
-    data.clear();
-  } else if (std::string_view(data).substr(0, kFileMagic.size()) != kFileMagic) {
-    throw std::runtime_error("pattlib: '" + path_ + "' is not a CPPL pattern store");
-  } else {
-    valid_end = kFileMagic.size();
-    std::size_t pos = kFileMagic.size();
-    while (pos < data.size()) {
-      // A frame that cannot complete before EOF is a torn append: recover.
-      // A complete frame with a bad CRC mid-file (valid records follow) is
-      // bit rot: fail loudly instead of silently dropping history.
-      bool torn = false;
-      std::uint8_t type = 0;
-      std::string_view payload;
-      if (pos + 5 > data.size()) {
-        torn = true;
-      } else {
-        type = static_cast<std::uint8_t>(data[pos]);
-        std::uint32_t len = 0;
-        for (int i = 0; i < 4; ++i) {
-          len |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[pos + 1 + i]))
-                 << (8 * i);
-        }
-        if (len > kMaxRecordBytes || pos + kFrameOverhead + len > data.size()) {
-          torn = true;
+  const util::LogScan scan =
+      util::scan_log(path_, kFileMagic, [this](std::uint8_t type, std::string_view payload) {
+        if (type == kPatternRecord) {
+          StoredPattern e = deserialize_pattern(payload);
+          e.id = static_cast<std::uint64_t>(entries_.size());
+          e.topology_hash = topology_hash(e.pattern.topology);
+          by_hash_.emplace(e.topology_hash, e.id);  // first writer wins, like add()
+          entries_.push_back(std::move(e));
+        } else if (type == kDrcRecord) {
+          Cursor cur(payload);
+          const std::uint64_t id = cur.u64();
+          const std::uint8_t status = cur.u8();
+          if (!cur.exhausted() || status > 2 || id >= entries_.size()) {
+            throw std::runtime_error("pattlib: corrupt record payload");
+          }
+          entries_[static_cast<std::size_t>(id)].meta.drc = static_cast<DrcStatus>(status);
         } else {
-          const std::string_view frame(data.data() + pos, 5 + len);
-          std::uint32_t stored = 0;
-          for (int i = 0; i < 4; ++i) {
-            stored |= static_cast<std::uint32_t>(
-                          static_cast<unsigned char>(data[pos + 5 + len + i]))
-                      << (8 * i);
-          }
-          if (util::crc32(frame) != stored) {
-            // Damaged final record, or a zero-filled tail (blocks allocated
-            // by a crashed writer but never flushed): torn, recover. A bad
-            // frame followed by non-zero data is bit rot: fail loudly
-            // instead of silently dropping history.
-            const bool zero_tail =
-                data.find_first_not_of('\0', pos) == std::string::npos;
-            if (pos + kFrameOverhead + len == data.size() || zero_tail) {
-              torn = true;
-            } else {
-              throw std::runtime_error(util::format(
-                  "pattlib: checksum mismatch in '%s' at byte %llu", path_.c_str(),
-                  static_cast<unsigned long long>(pos)));
-            }
-          } else {
-            payload = frame.substr(5);
-          }
+          throw std::runtime_error(util::format("pattlib: unknown record type %u in '%s'",
+                                                static_cast<unsigned>(type), path_.c_str()));
         }
-      }
-      if (torn) break;
-
-      if (type == kPatternRecord) {
-        StoredPattern e = deserialize_pattern(payload);
-        e.id = static_cast<std::uint64_t>(entries_.size());
-        e.topology_hash = topology_hash(e.pattern.topology);
-        by_hash_.emplace(e.topology_hash, e.id);  // first writer wins, like add()
-        entries_.push_back(std::move(e));
-      } else if (type == kDrcRecord) {
-        Cursor cur(payload);
-        const std::uint64_t id = cur.u64();
-        const std::uint64_t status = static_cast<unsigned char>(cur.bytes(1)[0]);
-        if (!cur.exhausted() || status > 2 || id >= entries_.size()) {
-          throw std::runtime_error("pattlib: corrupt record payload");
-        }
-        entries_[static_cast<std::size_t>(id)].meta.drc = static_cast<DrcStatus>(status);
-      } else {
-        throw std::runtime_error(util::format("pattlib: unknown record type %u in '%s'",
-                                              static_cast<unsigned>(type), path_.c_str()));
-      }
-      pos += kFrameOverhead + payload.size();
-      valid_end = pos;
-    }
-    if (valid_end < data.size()) {
-      recovered_bytes_ = data.size() - valid_end;
-      obs::count("pattlib/recovered_records");
-    }
+      });
+  if (scan.end == util::LogScan::End::kCorrupt) {
+    // Bit rot inside the file: fail loudly instead of silently dropping history.
+    throw std::runtime_error(util::format("pattlib: checksum mismatch in '%s' at byte %llu",
+                                          path_.c_str(),
+                                          static_cast<unsigned long long>(scan.valid_end)));
   }
-
-  // Materialise the recovery before appending anything new: the file is
-  // truncated to its valid prefix, so a re-open sees a bit-identical store.
-  if (recovered_bytes_ > 0 && fs::exists(target)) {
-    std::error_code ec;
-    fs::resize_file(target, valid_end, ec);
-    if (ec) {
-      throw std::runtime_error("pattlib: cannot truncate torn tail of '" + path_ +
-                               "': " + ec.message());
-    }
-  }
-
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) throw_errno("pattlib: cannot open store", path_);
-  file_bytes_ = valid_end;
-  if (valid_end == 0) {
-    // Fresh (or reset) store: write the file magic through the same
-    // full-write path as records.
-    const std::string magic(kFileMagic);
-    std::size_t off = 0;
-    while (off < magic.size()) {
-      const ssize_t n = ::write(fd_, magic.data() + off, magic.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("pattlib: write failed for", path_);
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    file_bytes_ = magic.size();
-  }
+  recovered_bytes_ = scan.file_bytes - scan.valid_end;
+  if (recovered_bytes_ > 0) obs::count("pattlib/recovered_records");
+  // The writer truncates the torn tail before anything new is appended, so a
+  // re-open sees a bit-identical store.
+  log_.emplace(path_, kFileMagic, scan.valid_end);
 }
 
 void PatternStore::append_record(std::uint8_t type, const std::string& payload) {
-  if (fd_ < 0) return;  // in-memory store
+  if (!log_) return;  // in-memory store
   util::fault::point("pattlib/append");
-  const std::string frame = frame_record(type, payload);
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = ::write(fd_, frame.data() + off, frame.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("pattlib: write failed for", path_);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  file_bytes_ += frame.size();
+  log_->append(type, payload);
 }
 
 void PatternStore::flush() {
-  if (fd_ >= 0 && ::fsync(fd_) != 0) throw_errno("pattlib: fsync failed for", path_);
+  if (log_) log_->sync();
 }
 
 AddResult PatternStore::add(const squish::SquishPattern& pattern, PatternMeta meta) {
@@ -467,7 +275,7 @@ StoreStats PatternStore::stats() const {
   StoreStats s;
   s.patterns = entries_.size();
   s.dedup_rejects = dedup_rejects_;
-  s.file_bytes = file_bytes_;
+  s.file_bytes = log_ ? log_->size() : 0;
   s.recovered_bytes = recovered_bytes_;
   for (const StoredPattern& e : entries_) {
     ++s.by_style[e.meta.style_tag];

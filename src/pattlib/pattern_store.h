@@ -9,13 +9,11 @@
 // matrix, so two windows that differ only in scan-line splits of the same
 // physical topology collapse to one entry.
 //
-// Durability model: each record is framed independently (magic + length +
-// payload + CRC32 of the frame), appended with full-write + fsync-on-flush.
-// On open the file is scanned record by record; a torn tail (a crash mid-
-// append) is detected by the frame CRC, dropped, and truncated away, so a
-// killed writer restarts with exactly the patterns that were fully appended
-// — the crash-restart contract gated by scripts/check_pattlib.sh. Bit rot
-// inside the valid prefix surfaces as std::runtime_error("...checksum...").
+// Durability model: the file is a util::RecordWriter log (docs/ROBUSTNESS.md
+// "Record logs"): a torn tail (a crash mid-append) is truncated away on open,
+// so a killed writer restarts with exactly the patterns that were fully
+// appended — the crash-restart contract gated by scripts/check_pattlib.sh.
+// Bit rot inside the file surfaces as std::runtime_error("...checksum...").
 //
 // Thread model: single writer, arbitrary const readers between mutations
 // (the serve layer queries a store that is not being mutated concurrently).
@@ -27,6 +25,7 @@
 #include <vector>
 
 #include "squish/squish.h"
+#include "util/record_log.h"
 
 namespace cp::pattlib {
 
@@ -100,7 +99,6 @@ class PatternStore {
   /// failures inside the valid prefix.
   explicit PatternStore(std::string path);
 
-  ~PatternStore();
   PatternStore(PatternStore&&) = delete;
   PatternStore& operator=(PatternStore&&) = delete;
 
@@ -145,9 +143,8 @@ class PatternStore {
   void open_and_replay();
   void append_record(std::uint8_t type, const std::string& payload);
 
-  std::string path_;  // empty = in-memory
-  int fd_ = -1;       // append stream of persisted stores
-  std::uint64_t file_bytes_ = 0;
+  std::string path_;                      // empty = in-memory
+  std::optional<util::RecordWriter> log_;  // append stream of persisted stores
   std::uint64_t recovered_bytes_ = 0;
   long long dedup_rejects_ = 0;
   std::vector<StoredPattern> entries_;

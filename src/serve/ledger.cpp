@@ -1,74 +1,41 @@
 #include "serve/ledger.h"
 
-#include <cstring>
+#include <stdexcept>
 
 #include "obs/registry.h"
-#include "util/fs.h"
+#include "util/strings.h"
 
 namespace cp::serve {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'P', 'S', 'J'};
-constexpr std::uint32_t kVersion = 1;
-constexpr char kAccept = 'A';
-constexpr char kComplete = 'C';
-// Framing overhead per record: u32 length + u32 crc.
-constexpr std::size_t kFrameBytes = 8;
-// Sanity cap on one record (ids are short; a huge length is corruption).
-constexpr std::uint32_t kMaxRecordBytes = 1 << 20;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
+// CPSJ is a record log (util/record_log.h) under
+// RequestLedger::kJournalMagic with one record per accept / complete event.
+constexpr std::uint8_t kAccept = 'A';
+constexpr std::uint8_t kComplete = 'C';
 
 }  // namespace
 
 RequestLedger::RequestLedger(std::string journal_path) {
   if (journal_path.empty()) return;
-  journal_.open(journal_path, std::ios::binary | std::ios::trunc);
-  if (!journal_) {
-    journal_error_ = "ledger: cannot open journal '" + journal_path + "'";
-    return;
+  try {
+    journal_.emplace(std::move(journal_path), kJournalMagic, 0);
+  } catch (const std::exception& e) {
+    journal_error_ = std::string("ledger: cannot open journal: ") + e.what();
   }
-  std::string header;
-  header.append(kMagic, sizeof(kMagic));
-  put_u32(header, kVersion);
-  append_record(header);
 }
 
 std::uint64_t RequestLedger::accept(const std::string& client_id, std::uint64_t content_hash) {
   const std::uint64_t seq = next_seq_++;
   ++accepted_;
   open_.emplace(seq, client_id);
-  if (journal_.is_open()) {
+  if (journal_) {
     std::string payload;
-    payload.push_back(kAccept);
-    put_u64(payload, seq);
-    put_u64(payload, content_hash);
-    put_u32(payload, static_cast<std::uint32_t>(client_id.size()));
+    util::put_u64(payload, seq);
+    util::put_u64(payload, content_hash);
+    util::put_u32(payload, static_cast<std::uint32_t>(client_id.size()));
     payload.append(client_id);
-    append_record(payload);
+    append_record(kAccept, payload);
   }
   return seq;
 }
@@ -82,13 +49,12 @@ void RequestLedger::complete(std::uint64_t seq, std::string_view status) {
   }
   open_.erase(it);
   ++completed_;
-  if (journal_.is_open()) {
+  if (journal_) {
     std::string payload;
-    payload.push_back(kComplete);
-    put_u64(payload, seq);
-    put_u32(payload, static_cast<std::uint32_t>(status.size()));
+    util::put_u64(payload, seq);
+    util::put_u32(payload, static_cast<std::uint32_t>(status.size()));
     payload.append(status);
-    append_record(payload);
+    append_record(kComplete, payload);
   }
 }
 
@@ -100,83 +66,66 @@ std::vector<std::string> RequestLedger::unfinished_ids() const {
 }
 
 void RequestLedger::flush() {
-  if (journal_.is_open()) journal_.flush();
+  if (!journal_) return;
+  try {
+    journal_->sync();
+  } catch (const std::exception& e) {
+    fail_journal(e.what());
+  }
 }
 
-void RequestLedger::append_record(std::string_view payload) {
-  if (!journal_.is_open()) return;
-  std::string frame;
-  frame.reserve(payload.size() + kFrameBytes);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.append(payload);
-  put_u32(frame, util::crc32(payload));
-  journal_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  journal_.flush();
-  if (!journal_ && journal_error_.empty()) {
-    journal_error_ = "ledger: journal write failed";
-    obs::count("serve_net/ledger_write_errors");
+void RequestLedger::append_record(std::uint8_t type, std::string_view payload) {
+  try {
+    journal_->append(type, payload);
+  } catch (const std::exception& e) {
+    fail_journal(e.what());
   }
+}
+
+void RequestLedger::fail_journal(const std::string& what) {
+  // Losing the audit trail must not take down serving.
+  journal_error_ = "ledger: journal write failed: " + what;
+  obs::count("serve_net/ledger_write_errors");
+  journal_.reset();
 }
 
 RequestLedger::Recovered RequestLedger::load(const std::string& path) {
   Recovered out;
-  std::string data;
+  std::unordered_map<std::uint64_t, std::string> open;
+  util::LogScan scan;
   try {
-    data = util::read_file(path);
+    scan = util::scan_log(path, kJournalMagic, [&](std::uint8_t type, std::string_view payload) {
+      // Unknown record types are skipped: future writers stay loadable.
+      util::Cursor cur(payload);
+      try {
+        if (type == kAccept) {
+          const std::uint64_t seq = cur.u64();
+          cur.u64();  // content hash
+          const std::string_view id = cur.bytes(cur.u32());
+          open.emplace(seq, std::string(id));
+          ++out.accepted;
+        } else if (type == kComplete) {
+          open.erase(cur.u64());
+          ++out.completed;
+        }
+      } catch (const std::runtime_error&) {
+        // A malformed record (e.g. a lying id length) is skipped, never read through.
+      }
+    });
   } catch (const std::exception& e) {
     out.error = e.what();
     return out;
   }
-
-  std::unordered_map<std::uint64_t, std::string> open;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos + kFrameBytes <= data.size()) {
-    const std::uint32_t len = get_u32(data.data() + pos);
-    if (len > kMaxRecordBytes || pos + kFrameBytes + len > data.size()) {
-      out.torn_tail = true;
-      break;
-    }
-    const char* payload = data.data() + pos + 4;
-    const std::uint32_t crc = get_u32(payload + len);
-    if (util::crc32(std::string_view(payload, len)) != crc) {
-      out.torn_tail = true;  // torn or bit-rotted final record(s): stop here
-      break;
-    }
-    pos += kFrameBytes + len;
-
-    if (!saw_header) {
-      if (len != sizeof(kMagic) + 4 || std::memcmp(payload, kMagic, sizeof(kMagic)) != 0 ||
-          get_u32(payload + sizeof(kMagic)) != kVersion) {
-        out.error = "ledger: not a CPSJ journal: " + path;
-        return out;
-      }
-      saw_header = true;
-      continue;
-    }
-    if (len < 1) continue;
-    const char kind = payload[0];
-    if (kind == kAccept && len >= 1 + 8 + 8 + 4) {
-      const std::uint64_t seq = get_u64(payload + 1);
-      const std::uint32_t id_len = get_u32(payload + 17);
-      // len >= 21 was checked above; subtracting there cannot wrap, whereas
-      // `21 + id_len` can when id_len is near UINT32_MAX.
-      if (id_len <= len - (1 + 8 + 8 + 4)) {
-        open.emplace(seq, std::string(payload + 21, id_len));
-        ++out.accepted;
-      }
-    } else if (kind == kComplete && len >= 1 + 8 + 4) {
-      const std::uint64_t seq = get_u64(payload + 1);
-      open.erase(seq);
-      ++out.completed;
-    }
-    // Unknown kinds are skipped: future writers stay loadable.
-  }
-  if (pos < data.size() && !out.torn_tail) out.torn_tail = true;
-  if (!saw_header) {
-    out.error = "ledger: empty or headerless journal: " + path;
+  if (scan.valid_end == 0) {
+    out.error = "ledger: missing, empty or headerless journal: " + path;
     return out;
   }
+  if (scan.end == util::LogScan::End::kCorrupt) {
+    out.error = util::format("ledger: corrupt record at byte %llu of '%s'",
+                             static_cast<unsigned long long>(scan.valid_end), path.c_str());
+    return out;
+  }
+  out.torn_tail = scan.end == util::LogScan::End::kTorn;
   for (auto& [seq, id] : open) out.unfinished_ids.push_back(std::move(id));
   out.ok = true;
   return out;

@@ -8,25 +8,27 @@
 // admission, complete() exactly once when the result (or synthesized
 // failure) is written back, outstanding() must be zero at drain.
 //
-// With a journal path, the ledger also appends one CRC32-framed record per
-// event to an on-disk journal — the same [len][payload][crc] discipline as
-// core::PopulateJournal (PR 5): a crash tears at most the final record,
-// which fails its CRC and is dropped on load, so a restarted supervisor
-// (or a post-mortem) can report exactly which accepted requests were still
-// unfinished. The journal is an audit artifact; serving never reads it on
-// the hot path.
+// With a journal path, the ledger also appends one record per event to an
+// on-disk util::RecordWriter log (docs/ROBUSTNESS.md "Record logs"), so a
+// restarted supervisor (or a post-mortem) can report exactly which accepted
+// requests were still unfinished. The journal is an audit artifact; serving
+// never reads it on the hot path.
 
 #include <cstdint>
-#include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "util/record_log.h"
+
 namespace cp::serve {
 
 class RequestLedger {
  public:
+  static constexpr std::string_view kJournalMagic = "CPSJ0002";
+
   /// `journal_path` empty = in-memory accounting only. A pre-existing
   /// journal file is truncated (each front-end run owns its journal).
   /// Journal open failures are recorded (journal_error()) but never fatal —
@@ -54,11 +56,12 @@ class RequestLedger {
   /// Client ids of still-unfinished requests (diagnostics; unordered).
   std::vector<std::string> unfinished_ids() const;
 
-  /// Flush buffered journal records to the OS.
+  /// fsync the journal (records reach the OS as they are appended).
   void flush();
 
   /// Parsed journal contents. A torn final record is dropped (torn_tail);
-  /// an unreadable or foreign file reports ok=false.
+  /// an unreadable, foreign or corrupt file reports ok=false, a corrupt one
+  /// with the byte offset in `error`.
   struct Recovered {
     bool ok = false;
     std::string error;
@@ -70,14 +73,15 @@ class RequestLedger {
   static Recovered load(const std::string& path);
 
  private:
-  void append_record(std::string_view payload);
+  void append_record(std::uint8_t type, std::string_view payload);
+  void fail_journal(const std::string& what);
 
   long long accepted_ = 0;
   long long completed_ = 0;
   long long double_completes_ = 0;
   std::uint64_t next_seq_ = 1;
   std::unordered_map<std::uint64_t, std::string> open_;  // seq -> client id
-  std::ofstream journal_;
+  std::optional<util::RecordWriter> journal_;
   std::string journal_error_;
 };
 

@@ -154,5 +154,103 @@ TEST_F(PopulateJournalTest, GarbageJournalIsDiscardedNotFatal) {
   std::remove(path.c_str());
 }
 
+// Direct journal tests: rounds appended through the API, no sampling.
+class PopulateJournalFileTest : public ::testing::Test {
+ protected:
+  static squish::SquishPattern make_pattern(int rows, int cols, int marker) {
+    squish::SquishPattern p;
+    p.topology = squish::Topology(rows, cols);
+    p.topology.set(marker % rows, marker % cols, 1);
+    p.dx.assign(static_cast<std::size_t>(cols), 10 + marker);
+    p.dy.assign(static_cast<std::size_t>(rows), 20 + marker);
+    return p;
+  }
+
+  /// Appends rounds [first, last) of one pattern each to `journal`.
+  static void append_rounds(PopulateJournal& journal, std::vector<squish::SquishPattern>& all,
+                            int first, int last, int rows, int cols) {
+    for (int r = first; r < last; ++r) {
+      all.resize(static_cast<std::size_t>(r));
+      all.push_back(make_pattern(rows, cols, r));
+      journal.append_round(10LL * (r + 1), r + 1, 100u * (r + 1), all,
+                           static_cast<std::size_t>(r));
+    }
+  }
+
+  static PopulateJournal::Fingerprint fingerprint() {
+    PopulateJournal::Fingerprint fp;
+    fp.seed = 5;
+    fp.count = 99;
+    fp.width_nm = 1000;
+    fp.height_nm = 1000;
+    return fp;
+  }
+
+  static void expect_rounds(const PopulateJournal::State& s, int rounds, int rows, int cols) {
+    EXPECT_EQ(s.rounds, rounds);
+    EXPECT_EQ(s.attempts, 10LL * rounds);
+    EXPECT_EQ(s.next_stream, 100u * static_cast<std::uint64_t>(rounds));
+    ASSERT_EQ(s.patterns.size(), static_cast<std::size_t>(rounds));
+    for (int r = 0; r < rounds; ++r) {
+      const squish::SquishPattern want = make_pattern(rows, cols, r);
+      EXPECT_TRUE(s.patterns[static_cast<std::size_t>(r)].topology == want.topology) << r;
+      EXPECT_EQ(s.patterns[static_cast<std::size_t>(r)].dx, want.dx) << r;
+    }
+  }
+};
+
+TEST_F(PopulateJournalFileTest, ResumeAfterTornTailKeepsLaterRounds) {
+  const std::string path = ::testing::TempDir() + "/journal_torn_resume.cppj";
+  std::remove(path.c_str());
+  std::vector<squish::SquishPattern> all;
+  {
+    PopulateJournal journal(path);
+    PopulateJournal::State state;
+    ASSERT_FALSE(journal.open(fingerprint(), &state));
+    append_rounds(journal, all, 0, 3, 4, 5);
+  }
+  // Crash mid-append of round 3: chop into its record.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
+  {
+    PopulateJournal journal(path);
+    PopulateJournal::State state;
+    ASSERT_TRUE(journal.open(fingerprint(), &state));
+    expect_rounds(state, 2, 4, 5);
+    append_rounds(journal, all, 2, 5, 4, 5);
+  }
+  // The rounds appended after the resume must sit behind the valid prefix,
+  // not behind the torn bytes where no reader can reach them.
+  PopulateJournal journal(path);
+  PopulateJournal::State state;
+  ASSERT_TRUE(journal.open(fingerprint(), &state));
+  expect_rounds(state, 5, 4, 5);
+  std::remove(path.c_str());
+}
+
+TEST_F(PopulateJournalFileTest, JournalOverTheRecordCapResumesWhole) {
+  // 17 rounds of one 2048x2048 pattern each: ~4 MiB records, ~68 MiB file,
+  // larger than the per-record cap but a perfectly valid journal.
+  constexpr int kRounds = 17;
+  constexpr int kSide = 2048;
+  const std::string path = ::testing::TempDir() + "/journal_large.cppj";
+  std::remove(path.c_str());
+  {
+    PopulateJournal journal(path);
+    PopulateJournal::State state;
+    ASSERT_FALSE(journal.open(fingerprint(), &state));
+    std::vector<squish::SquishPattern> all;
+    append_rounds(journal, all, 0, kRounds, kSide, kSide);
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  ASSERT_GT(size, 64u << 20);
+
+  PopulateJournal journal(path);
+  PopulateJournal::State state;
+  ASSERT_TRUE(journal.open(fingerprint(), &state));
+  expect_rounds(state, kRounds, kSide, kSide);
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace cp::core

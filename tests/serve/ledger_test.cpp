@@ -13,6 +13,7 @@
 
 #include "serve/ledger.h"
 #include "util/fs.h"
+#include "util/record_log.h"
 
 namespace cp::serve {
 namespace {
@@ -111,26 +112,44 @@ TEST_F(LedgerTest, HugeIdLengthInCrcValidRecordIsSkippedNotRead) {
   // length-vs-payload consistency check can reject it.
   const std::string journal = path("evil.cpsj");
   {
-    RequestLedger ledger(journal);  // writes the CPSJ header record
+    RequestLedger ledger(journal);  // writes the CPSJ file magic
     ledger.flush();
   }
   std::string payload;
-  payload.push_back('A');                       // kAccept
   payload.append(8, '\x01');                    // seq
   payload.append(8, '\x02');                    // content hash
   payload.append(4, '\xFF');                    // id_len = 0xFFFFFFFF
-  std::string frame;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  frame.append(payload);
-  const std::uint32_t crc = util::crc32(payload);
-  frame.append(reinterpret_cast<const char*>(&crc), 4);
-  std::ofstream(journal, std::ios::binary | std::ios::app) << frame;
+  util::RecordWriter(journal, RequestLedger::kJournalMagic, fs::file_size(journal))
+      .append('A', payload);                    // an Accept record
 
   const RequestLedger::Recovered rec = RequestLedger::load(journal);
   ASSERT_TRUE(rec.ok) << rec.error;
   EXPECT_EQ(rec.accepted, 0);  // the lying record contributes nothing
   EXPECT_TRUE(rec.unfinished_ids.empty());
+}
+
+TEST_F(LedgerTest, MidFileCorruptionIsReportedWithItsOffset) {
+  const std::string journal = path("rot.cpsj");
+  {
+    RequestLedger ledger(journal);
+    for (const char* id : {"r0", "r1", "needle", "r3", "r4"}) {
+      ledger.complete(ledger.accept(id, 7), "ok");
+    }
+  }
+  // Bit rot inside the "needle" accept record, with intact records after
+  // it: not a torn append, so the suffix must not be silently dropped.
+  std::string raw = util::read_file(journal);
+  const std::size_t at = raw.find("needle");
+  ASSERT_NE(at, std::string::npos);
+  raw[at + 2] = static_cast<char>(raw[at + 2] ^ 0x20);
+  std::ofstream(journal, std::ios::binary | std::ios::trunc) << raw;
+
+  const RequestLedger::Recovered rec = RequestLedger::load(journal);
+  EXPECT_FALSE(rec.ok);
+  // The frame starts at its [u8 type][u32 len] header, before seq, hash and id_len.
+  const std::size_t frame_start = at - (1 + 4 + 8 + 8 + 4);
+  EXPECT_NE(rec.error.find("byte " + std::to_string(frame_start)), std::string::npos)
+      << rec.error;
 }
 
 TEST_F(LedgerTest, ForeignFileReportsNotOk) {
