@@ -209,40 +209,6 @@ int main(int argc, char** argv) {
     rows.push_back(run_config(env, "single-res, no guidance", flat, 0, n, rng, pool.get()));
   }
 
-  // Packed neighbour-gather before/after: the default cascade with the
-  // TabularDenoiser's word-parallel plane gather (docs/GRID.md) against the
-  // same denoisers forced onto the scalar per-cell fallback. The two paths
-  // are bit-identical by construction, so the paired rows (same fork
-  // streams) must agree on every column except s/sample; the audit below
-  // checks that directly on a small batch.
-  {
-    diffusion::TabularDenoiser fine_scalar = fine;
-    diffusion::TabularDenoiser coarse_scalar = coarse;
-    fine_scalar.set_packed_gather(false);
-    coarse_scalar.set_packed_gather(false);
-    diffusion::CascadeSampler packed_cascade(env.chat->schedule(), coarse, fine,
-                                             diffusion::CascadeConfig{});
-    diffusion::CascadeSampler scalar_cascade(env.chat->schedule(), coarse_scalar, fine_scalar,
-                                             diffusion::CascadeConfig{});
-    util::Rng ra(env.seed + 6100), rb(env.seed + 6100);
-    rows.push_back(run_config(env, "cascade, packed gather", packed_cascade, 0, n, ra,
-                              pool.get()));
-    rows.push_back(run_config(env, "cascade, scalar gather", scalar_cascade, 0, n, rb,
-                              pool.get()));
-
-    diffusion::SampleConfig sc;
-    sc.condition = 0;
-    sc.sample_steps = 16;
-    const util::Rng audit_root(env.seed + 6200);
-    const auto pa =
-        diffusion::BatchSampler(packed_cascade, nullptr).sample_batch(sc, 4, audit_root);
-    const auto pb =
-        diffusion::BatchSampler(scalar_cascade, nullptr).sample_batch(sc, 4, audit_root);
-    const bool gather_identical = pa == pb;
-    std::printf("(packed vs scalar gather bit-identical: %s)\n", gather_identical ? "yes" : "NO");
-    env.manifest.metrics["packed_gather_bit_identical"] = gather_identical;
-  }
-
   // Topology selection (the step the paper removes for fair comparison):
   // cost of pushing legality to 100% with the default cascade.
   {

@@ -26,7 +26,6 @@
 #include "bench/common.h"
 #include "diffusion/batch_sampler.h"
 #include "diffusion/mlp_denoiser.h"
-#include "diffusion/precision.h"
 #include "diffusion/reference.h"
 #include "diffusion/tabular_denoiser.h"
 #include "diffusion/transition.h"
@@ -173,6 +172,9 @@ int main(int argc, char** argv) {
   const diffusion::NoiseSchedule schedule{diffusion::ScheduleConfig{}};
   util::Rng rng(seed);
   diffusion::MlpDenoiser d(schedule, diffusion::MlpConfig{2, 64, 2}, rng);
+  // The int8 tier is a model property: an int8 twin with the same weights.
+  util::Rng twin_rng(seed);
+  const diffusion::MlpDenoiser dq(schedule, diffusion::MlpConfig{2, 64, 2, true}, twin_rng);
   const squish::Topology x0 = stripes(grid_n, 3);
   util::Rng noise_rng(seed + 1);
   const squish::Topology xk = diffusion::forward_noise(x0, schedule, 40, noise_rng);
@@ -238,19 +240,16 @@ int main(int argc, char** argv) {
   });
 
   double int8_maxdiff = 0.0;
-  double grid_int8 = 0.0, pixel_int8 = 0.0;
-  {
-    const diffusion::PrecisionScope int8_scope(diffusion::Precision::kInt8);
-    d.predict_x0(xk, 40, 0, p_q);
-    for (std::size_t i = 0; i < p_base.size() && i < p_q.size(); ++i) {
-      const double diff = std::abs(static_cast<double>(p_base[i]) - p_q[i]);
-      if (diff > int8_maxdiff) int8_maxdiff = diff;
-    }
-    grid_int8 = seconds_per_call(reps, [&](int i) { d.predict_x0(xk, 40, i % 2, p_q); });
-    pixel_int8 = seconds_per_call(pixel_reps, [&](int i) {
-      sink += d.predict_x0_pixel(xk, i % grid_n, (i / grid_n) % grid_n, 40, 0);
-    });
+  dq.predict_x0(xk, 40, 0, p_q);
+  for (std::size_t i = 0; i < p_base.size() && i < p_q.size(); ++i) {
+    const double diff = std::abs(static_cast<double>(p_base[i]) - p_q[i]);
+    if (diff > int8_maxdiff) int8_maxdiff = diff;
   }
+  const double grid_int8 =
+      seconds_per_call(reps, [&](int i) { dq.predict_x0(xk, 40, i % 2, p_q); });
+  const double pixel_int8 = seconds_per_call(pixel_reps, [&](int i) {
+    sink += dq.predict_x0_pixel(xk, i % grid_n, (i / grid_n) % grid_n, 40, 0);
+  });
   const bool int8_close = int8_maxdiff < 0.1;  // coarse sanity; the real gate
                                                // is quant_quality_test
 
@@ -271,15 +270,11 @@ int main(int argc, char** argv) {
                             sink += row_out[0];
                           }) /
                           grid_n;
-  double row_int8 = 0.0;
-  {
-    const diffusion::PrecisionScope int8_scope(diffusion::Precision::kInt8);
-    row_int8 = seconds_per_call(row_reps, [&](int i) {
-                 d.predict_x0_row(xk, i % grid_n, 40, 0, row_out.data());
-                 sink += row_out[0];
-               }) /
-               grid_n;
-  }
+  const double row_int8 = seconds_per_call(row_reps, [&](int i) {
+                            dq.predict_x0_row(xk, i % grid_n, 40, 0, row_out.data());
+                            sink += row_out[0];
+                          }) /
+                          grid_n;
 
   std::printf("== Vector tiers (avx2 %s) ==\n", have_avx2 ? "available" : "unavailable");
   std::printf("grid forward : fp32-vec %8.3f ms (%.2fx, %s)  int8 %8.3f ms (%.2fx, maxdiff %.4f)\n",

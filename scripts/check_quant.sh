@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Quantized-inference gate (docs in DESIGN.md "Quantized inference",
 # EXPERIMENTS.md "denoiser inference bench"): one command that proves the
-# three claims the vectorized/int8 tier stands on, by running the dedicated
+# two claims the vectorized/int8 tier stands on, by running the dedicated
 # gtest suites in dependency order:
 #
 #   1. kernel contracts — the 16-wide AVX2 fp32 twin is bit-identical to the
@@ -9,49 +9,36 @@
 #      and a warm workspace never serves a stale int8 weight pack after an
 #      optimizer step / load_params / manual version bump (nn_test, filtered
 #      to the gemm + infer suites);
-#   2. statistical equivalence — sampling through the int8 tier keeps
-#      density / complexity / diversity within the documented thresholds of
-#      fp32 sampling on the same trained MLP denoiser, is bit-deterministic,
-#      and both opt-in routes (MlpConfig::quantized, PrecisionScope) select
-#      the same kernels (quant_quality_test);
-#   3. serve separation — precision is a content field: int8 requests hash,
-#      batch and cache separately from fp32 and can never be served a
-#      cross-precision payload (serve_test, filtered to the precision and
-#      cache-separation cases).
+#   2. statistical equivalence — sampling through an int8 model
+#      (MlpConfig::quantized, the only precision selector) keeps density /
+#      complexity / diversity within the documented thresholds of fp32
+#      sampling with the same trained weights, is bit-deterministic, and
+#      really runs the quantized kernels (quant_quality_test).
 #
 # The split mirrors how the claims fail: 1 breaking means a kernel or the
 # version-stamp plumbing regressed (fix the code); 2 breaking alone means
 # quantization error drifted past the documented thresholds (inspect the
-# printed per-metric table); 3 breaking means the serving layer can leak
-# bits across precision tiers.
+# printed per-metric table).
 #
-# Usage: check_quant.sh <nn_test-binary> <quant_quality_test-binary> <serve_test-binary>
+# Usage: check_quant.sh <nn_test-binary> <quant_quality_test-binary>
 # Wired into ctest as `check_quant` (tests/CMakeLists.txt).
 set -euo pipefail
 
-USAGE="usage: check_quant.sh <nn_test-binary> <quant_quality_test-binary> <serve_test-binary>"
+USAGE="usage: check_quant.sh <nn_test-binary> <quant_quality_test-binary>"
 NN_BIN=${1:?${USAGE}}
 QUALITY_BIN=${2:?${USAGE}}
-SERVE_BIN=${3:?${USAGE}}
 
-echo "== gate 1/3: kernel bit-contracts + pack invalidation =="
+echo "== gate 1/2: kernel bit-contracts + pack invalidation =="
 "$NN_BIN" --gtest_brief=1 \
   --gtest_filter='GemmTest.*:InferTest.*' || {
   echo "FAIL(kernels): a SIMD/int8 kernel contract or the quantized pack version stamping regressed" >&2
   exit 1
 }
 
-echo "== gate 2/3: int8 statistical equivalence =="
+echo "== gate 2/2: int8 statistical equivalence =="
 "$QUALITY_BIN" --gtest_brief=1 || {
   echo "FAIL(quality): int8 sampling metrics drifted outside the documented thresholds" >&2
   exit 1
 }
 
-echo "== gate 3/3: serve-layer precision separation =="
-"$SERVE_BIN" --gtest_brief=1 \
-  --gtest_filter='*Precision*:*QuantizedRequestsNeverShareCacheWithFp32*:RequestHash.*:RequestWire.BatchKeyGroupsCompatibleRequests' || {
-  echo "FAIL(serve): int8 and fp32 requests are not fully separated in hash/batch/cache" >&2
-  exit 1
-}
-
-echo "OK: vectorized fp32 is bit-identical, int8 is statistically equivalent and served separately"
+echo "OK: vectorized fp32 is bit-identical, int8 is statistically equivalent"

@@ -29,10 +29,6 @@ squish::Topology CascadeSampler::refine(const squish::Topology& coarse_up,
     mc.condition = condition;
     mc.sample_steps = steps;
     mc.schedule_kind = config_.schedule_kind;
-    // refine() always runs inside the caller's PrecisionScope (sample() and
-    // modify() install one from their config); carry it into the sub-chain
-    // so modify_from's own scope does not reset the tier.
-    mc.precision = active_precision();
     if (keep_mask.empty()) {
       squish::Topology no_keep(x.rows(), x.cols(), 0);
       x = modify_from(fine_, x, no_keep, std::move(init), k_mid, mc, rng);
@@ -70,9 +66,6 @@ squish::Topology CascadeSampler::sample(const SampleConfig& config, util::Rng& r
   }
   const obs::Span span = obs::trace_scope("sampler/cascade_sample");
   obs::count("sampler/cascade_samples");
-  // Covers the direct map_polish calls; the staged sub-configs carry the
-  // field explicitly so their own scopes re-install the same tier.
-  const PrecisionScope precision_scope(config.precision);
   SampleConfig coarse_cfg;
   coarse_cfg.rows = config.rows / config_.factor;
   coarse_cfg.cols = config.cols / config_.factor;
@@ -80,7 +73,6 @@ squish::Topology CascadeSampler::sample(const SampleConfig& config, util::Rng& r
   coarse_cfg.sample_steps = config_.coarse_steps;
   coarse_cfg.schedule_kind = config_.schedule_kind;
   coarse_cfg.polish_rounds = 0;  // MAP consolidation below replaces it
-  coarse_cfg.precision = config.precision;
   squish::Topology coarse = coarse_.sample(coarse_cfg, rng);
   for (int round = 0; round < config_.polish_rounds; ++round) {
     coarse = coarse_.map_polish(std::move(coarse), config_.polish_k, config.condition);
@@ -117,9 +109,6 @@ squish::Topology CascadeSampler::modify(const squish::Topology& known,
     // Fall back to single-resolution modification for odd sizes.
     return fine_.modify(known, keep_mask, config, rng);
   }
-  // Covers the direct map_polish calls between the staged sub-chains (the
-  // coarse_cfg copy below inherits `precision` with the other fields).
-  const PrecisionScope precision_scope(config.precision);
   // Coarse stage: masked generation at low resolution. The coarse keep mask
   // marks a cell as kept only if its whole block is kept, so the coarse
   // stage is free wherever any fine cell needs regeneration.

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "diffusion/neighborhood.h"
-#include "diffusion/precision.h"
 #include "nn/gemm.h"
 
 namespace cp::diffusion {
@@ -173,7 +172,7 @@ nn::Tensor MlpDenoiser::build_features(const squish::Topology& xk, int k, int co
 }
 
 bool MlpDenoiser::use_int8() const {
-  return (config_.quantized || active_precision() == Precision::kInt8) && net_.quantizable();
+  return config_.quantized && net_.quantizable();
 }
 
 float MlpDenoiser::predict_x0_pixel(const squish::Topology& xk, int r, int c, int k,

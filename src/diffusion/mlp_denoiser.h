@@ -5,7 +5,7 @@
 // from-scratch NN stack end to end; used by tests, examples and the
 // denoiser ablation bench.
 //
-// Features per pixel: the same 13-cell neighbourhood as the tabular
+// Features per pixel: the same 17-cell neighbourhood as the tabular
 // denoiser (values ±1), a 4-dim sinusoidal timestep embedding, and the
 // class condition one-hot — the "condition embedding added to the time
 // embedding" design of the paper collapsed to input features, appropriate
@@ -33,9 +33,9 @@ struct MlpConfig {
   int hidden = 64;
   int layers = 2;  // hidden layers
   /// Route predict_x0 / predict_x0_pixel / predict_x0_row through the int8
-  /// inference tier unconditionally (DESIGN.md "Quantized inference").
-  /// Request-scoped selection via diffusion::PrecisionScope works regardless
-  /// of this flag; appended last so positional brace-inits stay valid.
+  /// inference tier (DESIGN.md "Quantized inference"). The only precision
+  /// selector: a model's tier is fixed where the model is built. Appended
+  /// last so positional brace-inits stay valid.
   bool quantized = false;
 };
 
@@ -74,9 +74,8 @@ class MlpDenoiser : public Denoiser {
   const NoiseSchedule& schedule() const { return *schedule_; }
 
  private:
-  /// True when this call should take the int8 tier: the config opts in, or
-  /// the calling thread's PrecisionScope (diffusion/precision.h) requests
-  /// kInt8 — and the net matches the quantizable stack pattern.
+  /// True when inference takes the int8 tier: the config opts in and the net
+  /// matches the quantizable stack pattern.
   bool use_int8() const;
 
   const NoiseSchedule* schedule_;

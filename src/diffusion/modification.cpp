@@ -11,9 +11,6 @@ squish::Topology modify_from(const DiffusionSampler& sampler, const squish::Topo
       known.rows() != init.rows() || known.cols() != init.cols()) {
     throw std::invalid_argument("modify_from: dimension mismatch");
   }
-  // Masked-chain twin of DiffusionSampler::sample's scope: every denoiser
-  // call below runs at the requested precision tier.
-  const PrecisionScope precision_scope(config.precision);
   const NoiseSchedule& schedule = sampler.schedule();
   const std::vector<int> steps =
       sampler.make_timesteps_from(k_start, config.sample_steps, config.schedule_kind);

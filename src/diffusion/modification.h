@@ -24,9 +24,6 @@ struct ModifyConfig {
   /// (re-noising in between) to harmonise kept and generated regions.
   /// 1 = plain single pass.
   int resample_rounds = 1;
-  /// Inference-precision tier for the masked reverse chain; modify_from
-  /// installs the PrecisionScope (see SampleConfig::precision).
-  Precision precision = Precision::kFp32;
 };
 
 /// Regenerate the zero-mask region of `known`. `keep_mask` has the same

@@ -181,9 +181,6 @@ squish::Topology DiffusionSampler::map_polish(squish::Topology x, int k, int con
 squish::Topology DiffusionSampler::sample(const SampleConfig& config, util::Rng& rng) const {
   const obs::Span span = obs::trace_scope("sampler/sample");
   obs::count("sampler/samples");
-  // Every denoiser call below (reverse chain, guidance, polish) inherits the
-  // requested precision tier through the thread-local scope.
-  const PrecisionScope precision_scope(config.precision);
   // Word-parallel uniform init; one Bernoulli draw per cell in row-major
   // order, same stream as the scalar loop (see forward_noise).
   squish::Topology x(config.rows, config.cols);

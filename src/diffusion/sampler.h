@@ -14,7 +14,6 @@
 
 #include "diffusion/denoiser.h"
 #include "diffusion/generator.h"
-#include "diffusion/precision.h"
 #include "diffusion/schedule.h"
 #include "diffusion/timestep_schedule.h"
 #include "diffusion/transition.h"
@@ -39,11 +38,6 @@ struct SampleConfig {
   int polish_rounds = 2;
   /// Noise level the polish passes restart from.
   int polish_k = 8;
-  /// Inference-precision tier for every denoiser call of this sample
-  /// (precision.h): sample() installs a PrecisionScope, so guidance, polish
-  /// and the per-pixel sequential scan all inherit it. kInt8 results are NOT
-  /// bit-equal to kFp32 ones; callers that cache by config must key on this.
-  Precision precision = Precision::kFp32;
 };
 
 class DiffusionSampler : public TopologyGenerator {

@@ -80,14 +80,6 @@ void TabularDenoiser::neighborhood_indices_row(const squish::Topology& t, int r,
   }
 }
 
-void TabularDenoiser::row_indices(const squish::Topology& t, int r, int* indices) const {
-  if (packed_gather_) {
-    neighborhood_indices_row(t, r, indices);
-  } else {
-    for (int c = 0; c < t.cols(); ++c) indices[c] = neighborhood_index(t, r, c);
-  }
-}
-
 int TabularDenoiser::bucket_of(int k) const {
   // Buckets are uniform in *cumulative flip probability*, matching the
   // sampler's noise-uniform stride: the informative timesteps cluster where
@@ -127,7 +119,7 @@ void TabularDenoiser::fit(const std::vector<squish::Topology>& topologies, int c
         const squish::Topology xk = forward_noise(x0, *schedule_, k, rng);
         std::vector<int> indices(static_cast<std::size_t>(x0.cols()));
         for (int r = 0; r < x0.rows(); ++r) {
-          row_indices(xk, r, indices.data());
+          neighborhood_indices_row(xk, r, indices.data());
           for (int c = 0; c < x0.cols(); ++c) {
             const std::size_t cc = cell(condition, bucket, indices[static_cast<std::size_t>(c)]);
             ones_[cc] += x0.at(r, c);
@@ -156,7 +148,7 @@ void TabularDenoiser::predict_x0(const squish::Topology& xk, int k, int conditio
   std::size_t out = 0;
   std::vector<int> indices(static_cast<std::size_t>(xk.cols()));
   for (int r = 0; r < xk.rows(); ++r) {
-    row_indices(xk, r, indices.data());
+    neighborhood_indices_row(xk, r, indices.data());
     for (int c = 0; c < xk.cols(); ++c) {
       const std::size_t cc = cell(condition, bucket, indices[static_cast<std::size_t>(c)]);
       const double n1 = static_cast<double>(ones_[cc]);

@@ -5,7 +5,7 @@
 // P(x0 | x_k, k, c) is well approximated by conditioning on a small
 // neighbourhood of x_k around the pixel. This denoiser learns, by counting
 // over noised training samples, the empirical posterior
-//     P(x0_center = 1 | 13-cell neighbourhood of x_k, timestep bucket, class)
+//     P(x0_center = 1 | 17-cell neighbourhood of x_k, timestep bucket, class)
 // with Laplace smoothing toward the class density. Training is a single
 // streaming pass (seconds on one core), and inference is a table lookup —
 // which is what makes the paper-scale sampling experiments tractable on CPU
@@ -70,22 +70,15 @@ class TabularDenoiser : public Denoiser {
   /// neighborhood_index per cell.
   static void neighborhood_indices_row(const squish::Topology& t, int r, int* indices);
 
-  /// Route fit/predict through the scalar per-cell gather instead of the
-  /// packed row kernel. Benchmark/test hook only (before/after rows in
-  /// BENCH_denoiser.json); outputs are bit-identical either way.
-  void set_packed_gather(bool enabled) { packed_gather_ = enabled; }
-
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
  private:
   int bucket_of(int k) const;
   std::size_t cell(int condition, int bucket, int index) const;
-  void row_indices(const squish::Topology& t, int r, int* indices) const;
 
   const NoiseSchedule* schedule_;
   TabularConfig config_;
-  bool packed_gather_ = true;
   std::vector<std::uint32_t> ones_;
   std::vector<std::uint32_t> totals_;
   std::vector<double> density_num_;  // per-condition filled-cell counts

@@ -102,13 +102,11 @@ ExtensionResult extend_inpaint(const diffusion::TopologyGenerator& generator,
   sc.condition = config.condition;
   sc.sample_steps = config.sample_steps;
   sc.schedule_kind = config.schedule_kind;
-  sc.precision = config.precision;
   diffusion::ModifyConfig mc;
   mc.condition = config.condition;
   mc.sample_steps = config.sample_steps;
   mc.schedule_kind = config.schedule_kind;
   mc.resample_rounds = config.resample_rounds;
-  mc.precision = config.precision;
 
   result.model_calls = run_tile_jobs(generator, result.topology, jobs, L, sc, mc, rng.fork(),
                                      pool, &result.waves);

@@ -19,9 +19,6 @@ struct ExtensionConfig {
   /// (timestep_schedule.h) — fast mode covers extension end to end.
   diffusion::ScheduleKind schedule_kind = diffusion::ScheduleKind::kNoiseUniform;
   int resample_rounds = 1;
-  /// Inference-precision tier applied to every window sample and seam repair
-  /// (see diffusion::SampleConfig::precision).
-  diffusion::Precision precision = diffusion::Precision::kFp32;
 };
 
 struct ExtensionResult {

@@ -1,9 +1,10 @@
 #include "serve/request.h"
 
+#include <climits>
+#include <cmath>
 #include <stdexcept>
 
 #include "dataset/style.h"
-#include "diffusion/precision.h"
 #include "diffusion/timestep_schedule.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -25,6 +26,17 @@ std::uint64_t mix_string(std::uint64_t state, const std::string& s) {
   return state;
 }
 
+/// An int-typed field, rounded as Json::as_int rounds. A value outside int
+/// range is rejected rather than narrowed: narrowing would serve (and cache)
+/// the request as a different one.
+int get_int_field(const util::Json& j, const char* key, int fallback) {
+  const double v = std::round(j.get_number(key, fallback));
+  if (!(v >= INT_MIN && v <= INT_MAX)) {
+    throw std::invalid_argument(std::string("'") + key + "' is outside int range");
+  }
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 std::uint64_t GenerationRequest::content_hash() const {
@@ -36,7 +48,9 @@ std::uint64_t GenerationRequest::content_hash() const {
   h = mix(h, static_cast<std::uint64_t>(sample_steps));
   h = mix(h, static_cast<std::uint64_t>(polish_rounds));
   h = mix_string(h, schedule);
-  h = mix_string(h, precision);
+  // Requests used to carry a precision field here. Mixing its only accepted
+  // value keeps every content hash, cache key and shard placement stable.
+  h = mix_string(h, "fp32");
   h = mix(h, static_cast<std::uint64_t>(width_nm));
   h = mix(h, static_cast<std::uint64_t>(height_nm));
   h = mix(h, seed);
@@ -56,7 +70,6 @@ util::Json GenerationRequest::to_json() const {
   j["steps"] = sample_steps;
   j["polish"] = polish_rounds;
   if (!schedule.empty()) j["schedule"] = schedule;
-  if (precision != "fp32") j["precision"] = precision;
   j["width_nm"] = static_cast<long long>(width_nm);
   j["height_nm"] = static_cast<long long>(height_nm);
   j["seed"] = static_cast<long long>(seed);
@@ -87,12 +100,6 @@ std::string validate(const GenerationRequest& r) {
     return "unknown 'schedule' '" + r.schedule +
            "' (want noise_uniform|uniform|quadratic|searched)";
   }
-  {
-    diffusion::Precision p;
-    if (!diffusion::precision_from_string(r.precision, &p)) {
-      return "unknown 'precision' '" + r.precision + "' (want fp32|int8)";
-    }
-  }
   if (r.width_nm <= 0 || r.height_nm <= 0) return "'width_nm'/'height_nm' must be positive";
   if (r.deadline_ms < 0) return "'deadline_ms' must be >= 0";
   return "";
@@ -103,19 +110,23 @@ GenerationRequest GenerationRequest::from_json(const util::Json& j) {
   GenerationRequest r;
   r.id = j.get_string("id", "");
   r.style = j.get_string("style", r.style);
-  r.count = static_cast<int>(j.get_int("count", r.count));
-  r.rows = static_cast<int>(j.get_int("rows", r.rows));
-  r.cols = static_cast<int>(j.get_int("cols", r.cols));
-  r.sample_steps = static_cast<int>(j.get_int("steps", r.sample_steps));
-  r.polish_rounds = static_cast<int>(j.get_int("polish", r.polish_rounds));
+  r.count = get_int_field(j, "count", r.count);
+  r.rows = get_int_field(j, "rows", r.rows);
+  r.cols = get_int_field(j, "cols", r.cols);
+  r.sample_steps = get_int_field(j, "steps", r.sample_steps);
+  r.polish_rounds = get_int_field(j, "polish", r.polish_rounds);
   r.schedule = j.get_string("schedule", "");
-  r.precision = j.get_string("precision", "fp32");
+  const std::string precision = j.get_string("precision", "fp32");
+  if (precision != "fp32") {
+    throw std::invalid_argument("unsupported 'precision' '" + precision +
+                                "': the served model has no int8 tier (want fp32)");
+  }
   r.width_nm = j.get_int("width_nm", r.width_nm);
   r.height_nm = j.get_int("height_nm", r.height_nm);
   r.seed = static_cast<std::uint64_t>(j.get_int("seed", 1));
   r.legalize = j.get_bool("legalize", true);
   r.source = j.get_string("source", "");
-  r.priority = static_cast<int>(j.get_int("priority", 1));
+  r.priority = get_int_field(j, "priority", 1);
   r.deadline_ms = j.get_number("deadline_ms", 0.0);
   r.tenant = j.get_string("tenant", "");
   r.no_cache = j.get_bool("no_cache", false);
@@ -132,7 +143,6 @@ BatchKey batch_key(const GenerationRequest& request, int condition) {
   key.sample_steps = request.sample_steps;
   key.polish_rounds = request.polish_rounds;
   key.schedule = request.schedule;
-  key.precision = request.precision;
   return key;
 }
 

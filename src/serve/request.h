@@ -59,12 +59,6 @@ struct GenerationRequest {
   /// content field: two requests differing only here can legitimately
   /// deliver different payloads, so it is hashed and batch-keyed.
   std::string schedule;
-  /// Inference-precision tier: "fp32" (default, bit-identical to the golden
-  /// sampling path) or "int8" (the quantized kernels — faster, different
-  /// bits). A content field: it changes the delivered payload, so it is
-  /// hashed and batch-keyed and an int8 request can never be served a cached
-  /// fp32 payload or vice versa.
-  std::string precision = "fp32";
   geometry::Coord width_nm = 2048, height_nm = 2048;
   std::uint64_t seed = 1;
   /// true: deliver legalized SquishPatterns (retrying streams that fail
@@ -88,7 +82,9 @@ struct GenerationRequest {
 
   /// Parse and validate one request object. Throws std::invalid_argument
   /// with a reason on malformed input (missing/empty id, unknown style,
-  /// non-positive count/size, bad types).
+  /// non-positive count/size, an integer field outside int range, bad
+  /// types). The wire key "precision" is accepted only as "fp32": the served
+  /// model's precision is fixed where it is built, and it has no int8 tier.
   static GenerationRequest from_json(const util::Json& j);
 };
 
@@ -105,8 +101,7 @@ struct BatchKey {
   int rows = 0, cols = 0;
   int sample_steps = 0;
   int polish_rounds = 0;
-  std::string schedule;   // raw request field; "" = server default
-  std::string precision;  // "fp32" | "int8"
+  std::string schedule;  // raw request field; "" = server default
   bool operator==(const BatchKey&) const = default;
 };
 

@@ -27,8 +27,6 @@ diffusion::SampleConfig sample_config(const GenerationRequest& r, int condition,
   sc.schedule_kind =
       r.schedule.empty() ? default_schedule : diffusion::schedule_kind_from_string(r.schedule);
   sc.polish_rounds = r.polish_rounds;
-  // validate() guarantees the string parses; fp32 stays the fallback.
-  diffusion::precision_from_string(r.precision, &sc.precision);
   return sc;
 }
 

@@ -14,7 +14,6 @@
 
 #include "diffusion/batch_sampler.h"
 #include "diffusion/mlp_denoiser.h"
-#include "diffusion/precision.h"
 #include "diffusion/trainer.h"
 #include "diffusion/transition.h"
 #include "util/thread_pool.h"
@@ -149,40 +148,19 @@ TEST(MlpBatchInferTest, RowQueryMatchesPixelQueryBitExactly) {
   // come back bit-identical on both precision tiers. Exercise interior rows
   // (plane gather) and both border rows (mirrored per-pixel loads).
   const NoiseSchedule s{ScheduleConfig{}};
-  util::Rng rng(6);
-  const MlpDenoiser d(s, MlpConfig{2, 24, 2}, rng);
   const squish::Topology x = stripes(14, 3);
   std::vector<float> row(14);
-  for (const Precision prec : {Precision::kFp32, Precision::kInt8}) {
-    const PrecisionScope scope(prec);
+  for (const bool quantized : {false, true}) {
+    util::Rng rng(6);  // same seed: the two tiers share their weights
+    const MlpDenoiser d(s, MlpConfig{2, 24, 2, quantized}, rng);
     for (int r : {0, 1, 7, 13}) {
       d.predict_x0_row(x, r, 40, 1, row.data());
       for (int c = 0; c < 14; ++c) {
         ASSERT_EQ(row[static_cast<std::size_t>(c)], d.predict_x0_pixel(x, r, c, 40, 1))
-            << to_string(prec) << " row " << r << " col " << c;
+            << (quantized ? "int8" : "fp32") << " row " << r << " col " << c;
       }
     }
   }
-}
-
-TEST(MlpBatchInferTest, PrecisionScopeIsThreadLocalAndRestores) {
-  EXPECT_EQ(active_precision(), Precision::kFp32);
-  {
-    const PrecisionScope int8(Precision::kInt8);
-    EXPECT_EQ(active_precision(), Precision::kInt8);
-    {
-      const PrecisionScope inner(Precision::kFp32);
-      EXPECT_EQ(active_precision(), Precision::kFp32);
-    }
-    EXPECT_EQ(active_precision(), Precision::kInt8);
-    // Another thread starts at the default: BatchSampler workers pick their
-    // tier from the per-sample config, never from the submitting thread.
-    Precision seen = Precision::kInt8;
-    std::thread probe([&] { seen = active_precision(); });
-    probe.join();
-    EXPECT_EQ(seen, Precision::kFp32);
-  }
-  EXPECT_EQ(active_precision(), Precision::kFp32);
 }
 
 TEST(MlpBatchInferTest, ConcurrentInt8PredictionsMatchSerial) {
@@ -191,16 +169,13 @@ TEST(MlpBatchInferTest, ConcurrentInt8PredictionsMatchSerial) {
   // bit-identical to serial evaluation (TSAN covers the race half).
   const NoiseSchedule s{ScheduleConfig{}};
   util::Rng rng(7);
-  const MlpDenoiser d(s, MlpConfig{1, 16, 1}, rng);
+  const MlpDenoiser d(s, MlpConfig{1, 16, 1, /*quantized=*/true}, rng);
   const squish::Topology x = stripes(12, 3);
 
   std::vector<float> serial(12 * 12);
-  {
-    const PrecisionScope scope(Precision::kInt8);
-    for (int r = 0; r < 12; ++r) {
-      for (int c = 0; c < 12; ++c) {
-        serial[static_cast<std::size_t>(r) * 12 + c] = d.predict_x0_pixel(x, r, c, 40, 0);
-      }
+  for (int r = 0; r < 12; ++r) {
+    for (int c = 0; c < 12; ++c) {
+      serial[static_cast<std::size_t>(r) * 12 + c] = d.predict_x0_pixel(x, r, c, 40, 0);
     }
   }
 
@@ -208,7 +183,6 @@ TEST(MlpBatchInferTest, ConcurrentInt8PredictionsMatchSerial) {
   std::vector<std::thread> workers;
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&, t] {
-      const PrecisionScope scope(Precision::kInt8);  // per worker thread
       for (std::size_t i = static_cast<std::size_t>(t); i < parallel.size(); i += 3) {
         const int r = static_cast<int>(i) / 12;
         const int c = static_cast<int>(i) % 12;

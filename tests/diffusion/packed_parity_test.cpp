@@ -9,7 +9,6 @@
 
 #include "diffusion/reference.h"
 #include "diffusion/tabular_denoiser.h"
-#include "diffusion/trainer.h"
 #include "diffusion/transition.h"
 #include "drc/checker.h"
 #include "squish/reference.h"
@@ -66,31 +65,6 @@ TEST(PackedParityTest, NeighborhoodIndicesMatchReference) {
         ASSERT_EQ(idx[static_cast<std::size_t>(c)], reference_neighborhood_index(b, r, c))
             << s.rows << "x" << s.cols << " cell (" << r << "," << c << ")";
       }
-    }
-  }
-}
-
-TEST(PackedParityTest, TabularPackedGatherToggleIsBitIdentical) {
-  // A fitted denoiser must predict identically with the packed plane gather
-  // on and off — the toggle exists purely for before/after benching.
-  const NoiseSchedule schedule{ScheduleConfig{}};
-  util::Rng rng(203);
-  std::vector<std::vector<squish::Topology>> data(1);
-  for (int i = 0; i < 3; ++i) data[0].push_back(random_topology(rng, 24, 24, 0.45));
-  TabularConfig tc;
-  tc.conditions = 1;
-  TabularDenoiser packed_d = fit_tabular(schedule, tc, data, 99);
-  TabularDenoiser scalar_d = packed_d;
-  packed_d.set_packed_gather(true);
-  scalar_d.set_packed_gather(false);
-  const squish::Topology xk = random_topology(rng, 24, 24, 0.5);
-  ProbGrid pa, pb;
-  for (int k : {1, 20, schedule.steps()}) {
-    packed_d.predict_x0(xk, k, 0, pa);
-    scalar_d.predict_x0(xk, k, 0, pb);
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-      ASSERT_EQ(pa[i], pb[i]) << "k=" << k << " cell " << i;
     }
   }
 }

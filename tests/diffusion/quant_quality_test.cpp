@@ -1,24 +1,26 @@
 // Quality gate for int8 quantized inference (DESIGN.md "Quantized
 // inference"): sampling through the quantized kernels is allowed to change
 // bits — it is NOT allowed to change the statistics the paper reports. For a
-// fixed seed set we draw a library with the fp32 tier and one with the int8
-// tier from the same trained MLP denoiser, then hold the same summary-metric
-// deltas the few-step harness enforces (fast_quality_test.cpp): mean
-// density, mean scan-line complexity (c_x + c_y) and library diversity
-// (Definition 2), plus absolute density sanity so a collapsed pair of
-// libraries cannot sneak through on deltas alone.
+// fixed seed set we draw a library with a trained fp32 MLP denoiser and one
+// with its int8 twin (same weights, MlpConfig::quantized), then hold the
+// same summary-metric deltas the few-step harness enforces
+// (fast_quality_test.cpp): mean density, mean scan-line complexity
+// (c_x + c_y) and library diversity (Definition 2), plus absolute density
+// sanity so a collapsed pair of libraries cannot sneak through on deltas
+// alone.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
 
 #include "diffusion/mlp_denoiser.h"
-#include "diffusion/precision.h"
 #include "diffusion/sampler.h"
 #include "diffusion/trainer.h"
 #include "metrics/metrics.h"
+#include "nn/serialize.h"
 
 namespace cp::diffusion {
 namespace {
@@ -60,7 +62,10 @@ LibraryStats stats_of(const std::vector<squish::Topology>& lib) {
 
 class QuantQualityTest : public ::testing::Test {
  protected:
-  QuantQualityTest() : schedule_(ScheduleConfig{}), denoiser_(make_trained(schedule_)) {}
+  QuantQualityTest()
+      : schedule_(ScheduleConfig{}),
+        denoiser_(make_trained(schedule_)),
+        quantized_(twin(schedule_, denoiser_, /*quantized=*/true)) {}
 
   static MlpDenoiser make_trained(const NoiseSchedule& schedule) {
     util::Rng rng(5);
@@ -74,30 +79,44 @@ class QuantQualityTest : public ::testing::Test {
     return model;
   }
 
-  std::vector<squish::Topology> draw_library(const DiffusionSampler& sampler,
-                                             Precision precision) const {
+  /// A model carrying `trained`'s weights. The int8 tier is a model
+  /// property, so the int8 side of every comparison is a quantized twin.
+  static MlpDenoiser twin(const NoiseSchedule& schedule, MlpDenoiser& trained, bool quantized) {
+    util::Rng rng(5);
+    MlpDenoiser copy(schedule, MlpConfig{1, 32, 2, quantized}, rng);
+    std::stringstream weights;
+    nn::save_params(weights, trained.net().params());
+    nn::load_params(weights, copy.net().params());
+    return copy;
+  }
+
+  static SampleConfig sample_config() {
     SampleConfig cfg;
     cfg.rows = 32;
     cfg.cols = 32;
     cfg.sample_steps = kFastSteps;
     cfg.polish_rounds = 1;
-    cfg.precision = precision;
+    return cfg;
+  }
+
+  std::vector<squish::Topology> draw_library(const Denoiser& denoiser) const {
+    const DiffusionSampler sampler(schedule_, denoiser);
     std::vector<squish::Topology> lib;
     for (int i = 0; i < kPatterns; ++i) {
       util::Rng rng(100 + static_cast<std::uint64_t>(i));  // fixed seed set
-      lib.push_back(sampler.sample(cfg, rng));
+      lib.push_back(sampler.sample(sample_config(), rng));
     }
     return lib;
   }
 
   NoiseSchedule schedule_;
   MlpDenoiser denoiser_;
+  MlpDenoiser quantized_;
 };
 
 TEST_F(QuantQualityTest, Int8SamplingMatchesFp32Statistics) {
-  const DiffusionSampler sampler(schedule_, denoiser_);
-  const LibraryStats fp32 = stats_of(draw_library(sampler, Precision::kFp32));
-  const LibraryStats int8 = stats_of(draw_library(sampler, Precision::kInt8));
+  const LibraryStats fp32 = stats_of(draw_library(denoiser_));
+  const LibraryStats int8 = stats_of(draw_library(quantized_));
 
   std::ostringstream table;
   table << "\n  tier    density  complexity  diversity\n";
@@ -121,43 +140,32 @@ TEST_F(QuantQualityTest, Int8SamplingIsDeterministic) {
   // Bit-determinism within the tier: the int8 kernels are exact integer
   // arithmetic plus identically-rounded epilogues, so the same seed must
   // reproduce the same topology, run to run.
-  const DiffusionSampler sampler(schedule_, denoiser_);
-  SampleConfig cfg;
-  cfg.rows = 32;
-  cfg.cols = 32;
-  cfg.sample_steps = kFastSteps;
-  cfg.polish_rounds = 1;
-  cfg.precision = Precision::kInt8;
+  const DiffusionSampler sampler(schedule_, quantized_);
   util::Rng a(42), b(42);
-  EXPECT_TRUE(sampler.sample(cfg, a) == sampler.sample(cfg, b));
+  EXPECT_TRUE(sampler.sample(sample_config(), a) == sampler.sample(sample_config(), b));
 }
 
-TEST_F(QuantQualityTest, ConfigFlagAndPrecisionScopeAgree) {
-  // The two opt-in routes — MlpConfig::quantized on the model and a
-  // request-scoped PrecisionScope — must select the same kernels and
-  // produce identical predictions.
-  util::Rng rng_a(9), rng_b(9);
-  const NoiseSchedule schedule{ScheduleConfig{}};
-  const MlpDenoiser via_scope(schedule, MlpConfig{1, 16, 1}, rng_a);
-  const MlpDenoiser via_config(schedule, MlpConfig{1, 16, 1, true}, rng_b);
-
+TEST_F(QuantQualityTest, Int8TwinPredictsThroughTheQuantizedTier) {
+  // The twin carries the trained weights bit for bit, so any difference in
+  // its predictions comes from the int8 kernels, not from the parameters.
   const squish::Topology xk = stripes(24, 3);
-  ProbGrid p_scope, p_config;
-  {
-    const PrecisionScope scope(Precision::kInt8);
-    via_scope.predict_x0(xk, 40, 0, p_scope);
-  }
-  via_config.predict_x0(xk, 40, 0, p_config);
-  ASSERT_EQ(p_scope.size(), p_config.size());
-  for (std::size_t i = 0; i < p_scope.size(); ++i) {
-    ASSERT_EQ(p_scope[i], p_config[i]) << "at " << i;
-  }
-  // And the scoped int8 prediction really is the quantized one, not fp32.
-  ProbGrid p_fp32;
-  via_scope.predict_x0(xk, 40, 0, p_fp32);
+  ProbGrid p_fp32, p_int8;
+  denoiser_.predict_x0(xk, 40, 0, p_fp32);
+  quantized_.predict_x0(xk, 40, 0, p_int8);
+  ASSERT_EQ(p_fp32.size(), p_int8.size());
   bool differs = false;
-  for (std::size_t i = 0; i < p_fp32.size(); ++i) differs = differs || p_fp32[i] != p_scope[i];
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < p_fp32.size(); ++i) {
+    differs = differs || p_fp32[i] != p_int8[i];
+    max_diff = std::max(max_diff, std::abs(static_cast<double>(p_fp32[i]) - p_int8[i]));
+  }
   EXPECT_TRUE(differs);
+  EXPECT_LT(max_diff, 0.1);  // the coarse sanity bound of bench/denoiser_inference
+
+  // A twin built without the flag predicts exactly like the trained model.
+  ProbGrid p_twin;
+  twin(schedule_, denoiser_, /*quantized=*/false).predict_x0(xk, 40, 0, p_twin);
+  EXPECT_TRUE(p_twin == p_fp32);
 }
 
 }  // namespace

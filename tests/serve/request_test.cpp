@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "serve/request.h"
 
 namespace cp::serve {
@@ -97,23 +99,65 @@ TEST(RequestHash, CoversContentFieldsOnly) {
   EXPECT_TRUE(differs([](GenerationRequest& m) { ++m.height_nm; }));
   EXPECT_TRUE(differs([](GenerationRequest& m) { ++m.seed; }));
   EXPECT_TRUE(differs([](GenerationRequest& m) { m.legalize = !m.legalize; }));
-  // Precision is a content field: an int8 request must never alias a cached
-  // fp32 payload (DESIGN.md "Quantized inference").
-  EXPECT_TRUE(differs([](GenerationRequest& m) { m.precision = "int8"; }));
 }
 
-TEST(RequestWire, PrecisionFieldRoundTripsAndValidates) {
-  GenerationRequest r = sample_request();
-  EXPECT_EQ(r.precision, "fp32");  // default
-  r.precision = "int8";
-  const GenerationRequest back = GenerationRequest::from_json(r.to_json());
-  EXPECT_EQ(back.precision, "int8");
-  EXPECT_EQ(back.content_hash(), r.content_hash());
+TEST(RequestHash, PinnedValuesAreStable) {
+  // Literal hashes: a change to content_hash() moves every cache key, shard
+  // placement and benchmark hash, so it must be deliberate.
+  EXPECT_EQ(GenerationRequest{}.content_hash(), 0x7824861911e45685ULL);
+  GenerationRequest full;
+  full.style = "Layer-10003";
+  full.count = 3;
+  full.rows = 64;
+  full.cols = 32;
+  full.sample_steps = 8;
+  full.polish_rounds = 1;
+  full.schedule = "searched";
+  full.width_nm = 1024;
+  full.height_nm = 512;
+  full.seed = 42;
+  full.legalize = false;
+  full.source = "store";
+  EXPECT_EQ(full.content_hash(), 0x6ffe7c1ba704f3d7ULL);
+}
 
-  const ParsedRequest p = parse_request_line(R"({"id":"q","precision":"int8"})");
-  ASSERT_TRUE(p.ok) << p.error;
-  EXPECT_EQ(p.request.precision, "int8");
-  EXPECT_FALSE(parse_request_line(R"({"id":"q","precision":"fp16"})").ok);
+TEST(RequestWire, PrecisionAcceptsOnlyFp32) {
+  const ParsedRequest absent = parse_request_line(R"({"id":"q"})");
+  const ParsedRequest fp32 = parse_request_line(R"({"id":"q","precision":"fp32"})");
+  ASSERT_TRUE(absent.ok) << absent.error;
+  ASSERT_TRUE(fp32.ok) << fp32.error;
+  EXPECT_EQ(fp32.request.content_hash(), absent.request.content_hash());
+  EXPECT_EQ(absent.request.content_hash(), 0x7824861911e45685ULL);
+  for (const char* line : {R"({"id":"q","precision":"int8"})",
+                           R"({"id":"q","precision":"fp16"})"}) {
+    const ParsedRequest p = parse_request_line(line);
+    EXPECT_FALSE(p.ok) << line;
+    EXPECT_NE(p.error.find("no int8 tier"), std::string::npos) << p.error;
+  }
+}
+
+TEST(RequestWire, IntegerFieldsOutsideIntRangeAreRejected) {
+  // 4294967360 = 2^32 + 64: narrowed to int it would be served (and
+  // deduplicated) as a 64-row request.
+  for (const char* key : {"rows", "cols", "count", "steps", "polish", "priority"}) {
+    for (const char* value : {"4294967360", "4294967297", "2147483648", "-2147483649"}) {
+      const std::string line =
+          std::string(R"({"id":"q",")") + key + "\":" + value + "}";
+      const ParsedRequest p = parse_request_line(line);
+      EXPECT_FALSE(p.ok) << line;
+      EXPECT_NE(p.error.find(std::string("'") + key + "'"), std::string::npos)
+          << line << " -> " << p.error;
+    }
+  }
+  // The int bounds themselves still parse (and then meet the usual checks).
+  const ParsedRequest max_priority =
+      parse_request_line(R"({"id":"q","priority":2147483647})");
+  ASSERT_TRUE(max_priority.ok) << max_priority.error;
+  EXPECT_EQ(max_priority.request.priority, 2147483647);
+  const ParsedRequest min_priority =
+      parse_request_line(R"({"id":"q","priority":-2147483648})");
+  ASSERT_TRUE(min_priority.ok) << min_priority.error;
+  EXPECT_EQ(min_priority.request.priority, -2147483647 - 1);
 }
 
 TEST(RequestWire, ResultJsonCarriesHexLibraryHash) {
@@ -142,11 +186,6 @@ TEST(RequestWire, BatchKeyGroupsCompatibleRequests) {
   c.rows = a.rows * 2;
   EXPECT_FALSE(batch_key(a, 1) == batch_key(c, 1));
   EXPECT_FALSE(batch_key(a, 0) == batch_key(a, 1));
-  // Mixed-precision requests must not share a batch: the whole wave runs
-  // under one PrecisionScope.
-  GenerationRequest q = a;
-  q.precision = "int8";
-  EXPECT_FALSE(batch_key(a, 1) == batch_key(q, 1));
 }
 
 }  // namespace

@@ -89,33 +89,6 @@ TEST_F(ServerTest, RepeatedRequestHitsTheCache) {
   EXPECT_GE(server.cache().hits(), 1);
 }
 
-TEST_F(ServerTest, QuantizedRequestsNeverShareCacheWithFp32) {
-  // precision is part of the content hash, so an int8 request submitted
-  // right after its fp32 twin must miss the cache and get its own payload —
-  // cross-precision sharing would silently serve fp32 bits to an int8
-  // client (or vice versa).
-  ServerConfig config;
-  config.workers = 2;
-  Server server(sampler_, legalizers(), config);
-  const GenerationResult fp32 = server.submit(make_request("f", 5)).result.get();
-  ASSERT_EQ(fp32.status, RequestStatus::kOk);
-
-  GenerationRequest q = make_request("q", 5);
-  q.precision = "int8";
-  const GenerationResult int8 = server.submit(std::move(q)).result.get();
-  ASSERT_EQ(int8.status, RequestStatus::kOk);
-  EXPECT_FALSE(int8.cache_hit);
-  EXPECT_NE(int8.payload.get(), fp32.payload.get());
-
-  // But a second int8 request with the same content does hit its own entry.
-  GenerationRequest q2 = make_request("q2", 5);
-  q2.precision = "int8";
-  const GenerationResult again = server.submit(std::move(q2)).result.get();
-  ASSERT_EQ(again.status, RequestStatus::kOk);
-  EXPECT_TRUE(again.cache_hit);
-  EXPECT_EQ(again.payload.get(), int8.payload.get());
-}
-
 TEST_F(ServerTest, CacheDisabledStillDeliversIdenticalPayloads) {
   ServerConfig config;
   config.cache_entries = 0;
