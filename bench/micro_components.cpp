@@ -151,6 +151,20 @@ void BM_CascadeSample128(benchmark::State& state) {
 }
 BENCHMARK(BM_CascadeSample128);
 
+// One fine-stage MAP sweep of the cascade (CascadeConfig::polish_k) over an
+// upsampled coarse pattern, the input the fine stage sees.
+void BM_MapPolish128(benchmark::State& state) {
+  Fixture& f = fixture();
+  diffusion::DiffusionSampler s(f.schedule, *f.fine);
+  const auto up = squish::upsample_nearest(
+      squish::downsample_majority(f.dataset.topologies[0], 4), 4);
+  const int polish_k = diffusion::CascadeConfig{}.polish_k;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.map_polish(up, polish_k, 0));
+  }
+}
+BENCHMARK(BM_MapPolish128);
+
 void BM_ForwardNoise128(benchmark::State& state) {
   Fixture& f = fixture();
   util::Rng rng(6);

@@ -5,7 +5,8 @@
 # is bit-identical between 1 worker and 4 workers — the serving determinism
 # contract (docs/SERVING.md). A second trace with a malformed line asserts
 # the strict-replay contract: the bad line still yields a rejected result,
-# its line number is reported on stderr, and the process exits 1.
+# its line number is reported on stderr, and the process exits 1. Last, a
+# trace passed without --trace must print usage and exit 2.
 #
 # Usage: run_serving_smoke.sh <chatpattern_serve-binary> [workdir]
 # Wired into ctest as `serving_smoke` (tests/CMakeLists.txt).
@@ -81,4 +82,19 @@ if ! grep -q '"status":"rejected"' "$WORKDIR/out_bad.ndjson"; then
   exit 1
 fi
 
-echo "OK: replayed $lines lines, results deterministic across 1 and 4 workers; strict malformed-line exit verified"
+# A trace passed as a positional argument (without --trace) is a usage
+# error, not an empty replay of stdin.
+rc=0
+"$SERVE_BIN" "$TRACE" --train 24 < /dev/null > "$WORKDIR/out_positional.ndjson" \
+  2> "$WORKDIR/stderr_positional.log" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "FAIL: positional trace argument exited $rc (want 2)" >&2
+  exit 1
+fi
+if ! grep -q 'usage:' "$WORKDIR/stderr_positional.log"; then
+  echo "FAIL: positional trace argument did not print usage" >&2
+  cat "$WORKDIR/stderr_positional.log" >&2
+  exit 1
+fi
+
+echo "OK: replayed $lines lines, results deterministic across 1 and 4 workers; strict malformed-line exit and positional-argument usage error verified"

@@ -43,13 +43,7 @@ squish::Topology CascadeSampler::refine(const squish::Topology& coarse_up,
   for (int round = 0; round < config_.polish_rounds; ++round) {
     x = fine_.map_polish(std::move(x), config_.polish_k, condition, keep_mask);
   }
-  if (!keep_mask.empty()) {
-    for (int r = 0; r < x.rows(); ++r) {
-      for (int c = 0; c < x.cols(); ++c) {
-        if (keep_mask.at(r, c)) x.set(r, c, known.at(r, c));
-      }
-    }
-  }
+  if (!keep_mask.empty()) x.assign_where(keep_mask, known);
   return x;
 }
 
@@ -133,21 +127,13 @@ squish::Topology CascadeSampler::modify(const squish::Topology& known,
     coarse = coarse_.map_polish(std::move(coarse), config_.polish_k, config.condition,
                                 coarse_keep);
   }
-  for (int r = 0; r < coarse.rows(); ++r) {
-    for (int c = 0; c < coarse.cols(); ++c) {
-      if (coarse_keep.at(r, c)) coarse.set(r, c, coarse_known.at(r, c));
-    }
-  }
+  coarse.assign_where(coarse_keep, coarse_known);
   const squish::Topology up = squish::upsample_nearest(coarse, config_.factor);
 
   // Fine stage: refine the upsampled result under the exact mask. Blend the
   // upsampled coarse guess into the regenerated region of the init state.
-  squish::Topology blended = known;
-  for (int r = 0; r < blended.rows(); ++r) {
-    for (int c = 0; c < blended.cols(); ++c) {
-      if (!keep_mask.at(r, c)) blended.set(r, c, up.at(r, c));
-    }
-  }
+  squish::Topology blended = up;
+  blended.assign_where(keep_mask, known);
   return refine(blended, known, keep_mask, config.condition,
                 std::max(config.sample_steps, config_.refine_steps), rng);
 }

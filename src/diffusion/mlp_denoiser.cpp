@@ -19,14 +19,7 @@ constexpr int kTimeFeatures = 4;
 // feature layout.
 constexpr auto& kOffsets = neighborhood::kOffsets;
 
-// Single-reflection boundary padding. Deliberately NOT the tabular denoiser's
-// period-folding mirror: the two rules differ on grids smaller than the
-// distance-4 probes, and each module keeps its historical behaviour.
-inline int mirror(int i, int n) {
-  if (i < 0) return -i;
-  if (i >= n) return 2 * n - 2 - i;
-  return i;
-}
+using neighborhood::mirror;
 
 inline void neighbor_features(const squish::Topology& xk, int r, int c, float* out) {
   for (int i = 0; i < TabularDenoiser::kNeighbors; ++i) {

@@ -24,12 +24,7 @@ squish::Topology modify_from(const DiffusionSampler& sampler, const squish::Topo
       squish::Topology x_unknown = sampler.reverse_step(x, k_from, k_to, config.condition, rng);
       // Equation (12): forward-noise the known pattern to level k_to and
       // overwrite the kept region.
-      const squish::Topology x_known = forward_noise(known, schedule, k_to, rng);
-      for (int r = 0; r < x.rows(); ++r) {
-        for (int c = 0; c < x.cols(); ++c) {
-          x_unknown.set(r, c, keep_mask.at(r, c) ? x_known.at(r, c) : x_unknown.at(r, c));
-        }
-      }
+      x_unknown.assign_where(keep_mask, forward_noise(known, schedule, k_to, rng));
       x = std::move(x_unknown);
       if (round + 1 < rounds) {
         // Jump back up to k_from by forward-noising through the composed
@@ -44,11 +39,7 @@ squish::Topology modify_from(const DiffusionSampler& sampler, const squish::Topo
     }
   }
   // k = 0: restore the kept region exactly.
-  for (int r = 0; r < x.rows(); ++r) {
-    for (int c = 0; c < x.cols(); ++c) {
-      if (keep_mask.at(r, c)) x.set(r, c, known.at(r, c));
-    }
-  }
+  x.assign_where(keep_mask, known);
   return x;
 }
 

@@ -12,9 +12,8 @@
 //
 // Callers are responsible for the boundary: planes are only valid for cells
 // with kMargin <= r < rows - kMargin and kMargin <= c < cols - kMargin;
-// border cells keep each denoiser's own scalar mirror fallback (the tabular
-// and MLP denoisers use *different* reflection rules on tiny grids, so the
-// fallbacks deliberately stay per-module). See docs/GRID.md for the idiom.
+// border cells take the scalar fallback through `mirror` below, which both
+// denoisers share. See docs/GRID.md for the idiom.
 
 #include <cstdint>
 
@@ -36,6 +35,19 @@ inline constexpr int kOffsets[kCount][2] = {
 /// Largest |offset| above: cells at least this far from every border need no
 /// mirror reflection.
 inline constexpr int kMargin = 4;
+
+/// Reflect-101 boundary padding of index `i` into [0, n). A single
+/// reflection (-i / 2n-2-i) is only valid while the overshoot is below n;
+/// on grids smaller than the distance-4 probes (the cascade's coarse stage
+/// runs on rows/factor) a probe crosses both borders, so fold into the
+/// 2n-2 period first and any offset maps inside [0, n).
+inline int mirror(int i, int n) {
+  if (i >= 0 && i < n) return i;
+  if (n == 1) return 0;
+  const int period = 2 * n - 2;
+  i = ((i % period) + period) % period;
+  return i < n ? i : period - i;
+}
 
 /// Word `wi` of row `rr` funnel-shifted by `dc` columns: bit j of the result
 /// is cell (rr, wi*64 + j + dc). Bits whose source column falls outside the

@@ -1,7 +1,10 @@
 #include "diffusion/sampler.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/registry.h"
@@ -53,12 +56,90 @@ namespace {
 
 constexpr double kProbEps = 1e-6;
 
+/// log(p / (1 - p)) of p clamped away from 0 and 1.
+inline double clamped_logit(double p) {
+  const double pc = std::clamp(p, kProbEps, 1.0 - kProbEps);
+  return std::log(pc / (1.0 - pc));
+}
+
+/// sigmoid(logit + lambda).
+inline double shift_logit(double logit, double lambda) {
+  return 1.0 / (1.0 + std::exp(-(logit + lambda)));
+}
+
 inline double shifted_prob(double p, double lambda) {
   if (lambda == 0.0) return p;
-  const double pc = std::clamp(p, kProbEps, 1.0 - kProbEps);
-  const double logit = std::log(pc / (1.0 - pc)) + lambda;
-  return 1.0 / (1.0 + std::exp(-logit));
+  return shift_logit(clamped_logit(p), lambda);
 }
+
+/// Dense ids, in first-seen order, for the distinct bit patterns of a stream
+/// of floats: open addressing on the float bits, grown at half load. A
+/// tabular denoiser returns few distinct predictions per grid, so per-value
+/// work keyed by these ids replaces per-pixel work.
+class DistinctFloats {
+ public:
+  std::uint32_t id(float v) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+    Slot& slot = slots_[find(bits)];
+    if (slot.id_plus_1 != 0) return slot.id_plus_1 - 1;
+    const auto id = static_cast<std::uint32_t>(values_.size());
+    values_.push_back(v);
+    slot = Slot{bits, id + 1};
+    if (2 * values_.size() > slots_.size()) grow();
+    return id;
+  }
+
+  const std::vector<float>& values() const { return values_; }
+
+ private:
+  struct Slot {
+    std::uint32_t bits = 0;
+    std::uint32_t id_plus_1 = 0;  // 0 = empty
+  };
+
+  /// The slot holding `bits`, or the empty slot where it belongs.
+  std::size_t find(std::uint32_t bits) const {
+    std::size_t s = (bits * 0x9E3779B1u) >> (32 - log2_slots_);
+    while (slots_[s].id_plus_1 != 0 && slots_[s].bits != bits) s = (s + 1) & (slots_.size() - 1);
+    return s;
+  }
+  void grow() {
+    ++log2_slots_;
+    slots_.assign(std::size_t{1} << log2_slots_, Slot{});
+    for (std::uint32_t id = 0; id < values_.size(); ++id) {
+      const std::uint32_t bits = std::bit_cast<std::uint32_t>(values_[id]);
+      slots_[find(bits)] = Slot{bits, id + 1};
+    }
+  }
+
+  int log2_slots_ = 6;
+  std::vector<Slot> slots_ = std::vector<Slot>(std::size_t{1} << 6);
+  std::vector<float> values_;
+};
+
+/// The guided reverse kernel P(x_to = 1 | x_from = old, p0) of one scan,
+/// memoised per distinct p0: shifted_prob and reverse_p1 run once per
+/// distinct prediction and return the same doubles a per-pixel evaluation
+/// would.
+class ReverseKernelMemo {
+ public:
+  ReverseKernelMemo(double lambda, double flip_0j, double flip_jk)
+      : lambda_(lambda), flip_0j_(flip_0j), flip_jk_(flip_jk) {}
+
+  double p1(std::uint8_t old, float p0) {
+    const std::uint32_t id = distinct_.id(p0);
+    if (id == p1_.size()) {
+      const double p = shifted_prob(p0, lambda_);
+      p1_.push_back({reverse_p1(0, p, flip_0j_, flip_jk_), reverse_p1(1, p, flip_0j_, flip_jk_)});
+    }
+    return p1_[id][old];
+  }
+
+ private:
+  double lambda_, flip_0j_, flip_jk_;
+  DistinctFloats distinct_;
+  std::vector<std::array<double, 2>> p1_;  // by p0 id, then old value
+};
 
 }  // namespace
 
@@ -69,12 +150,25 @@ double DiffusionSampler::guidance_shift(const squish::Topology& xk, int k_from,
   if (target <= 0.0 || target >= 1.0) return 0.0;
   ProbGrid p0;
   denoiser_->predict_x0(xk, k_from, condition, p0);
-  // Bisection on the uniform logit shift.
+  // Bisection on the uniform logit shift. Each iteration evaluates the
+  // sigmoid once per distinct prediction and sums per pixel in row-major
+  // order, so every partial sum equals the per-pixel evaluation's.
+  DistinctFloats distinct;
+  std::vector<std::uint32_t> ids(p0.size());
+  for (std::size_t i = 0; i < p0.size(); ++i) ids[i] = distinct.id(p0[i]);
+  const std::vector<float>& values = distinct.values();
+  std::vector<double> logits(values.size());
+  for (std::size_t d = 0; d < values.size(); ++d) logits[d] = clamped_logit(values[d]);
+  std::vector<double> shifted(values.size());
   double lo = -8.0, hi = 8.0;
   for (int iter = 0; iter < 24; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    for (std::size_t d = 0; d < values.size(); ++d) {
+      // As in shifted_prob, a zero shift passes p through unclamped.
+      shifted[d] = mid == 0.0 ? values[d] : shift_logit(logits[d], mid);
+    }
     double mean = 0.0;
-    for (float p : p0) mean += shifted_prob(p, mid);
+    for (const std::uint32_t id : ids) mean += shifted[id];
     mean /= static_cast<double>(p0.size());
     if (mean < target) {
       lo = mid;
@@ -93,12 +187,12 @@ squish::Topology DiffusionSampler::reverse_step_factorized(const squish::Topolog
   const double lambda = guidance_shift(xk, k_from, condition);
   const double flip_0j = schedule_->cumulative_flip(k_to);
   const double flip_jk = schedule_->flip_between(k_to, k_from);
+  ReverseKernelMemo kernel(lambda, flip_0j, flip_jk);
   squish::Topology out(xk.rows(), xk.cols());
   std::size_t i = 0;
   for (int r = 0; r < xk.rows(); ++r) {
     for (int c = 0; c < xk.cols(); ++c, ++i) {
-      const double p1 = reverse_p1(xk.at(r, c), shifted_prob(p0[i], lambda), flip_0j, flip_jk);
-      out.set(r, c, rng.bernoulli(p1) ? 1 : 0);
+      out.set(r, c, rng.bernoulli(kernel.p1(xk.at(r, c), p0[i])) ? 1 : 0);
     }
   }
   return out;
@@ -115,6 +209,7 @@ squish::Topology DiffusionSampler::reverse_step_sequential(const squish::Topolog
   // re-queried on the evolving grid. A serpentine scan whose start corner
   // alternates with k_from removes the directional bias a fixed raster
   // order would imprint.
+  ReverseKernelMemo kernel(lambda, flip_0j, flip_jk);
   squish::Topology x = xk;
   const bool flip_rows = (k_from % 2) == 0;
   for (int rr = 0; rr < x.rows(); ++rr) {
@@ -122,10 +217,8 @@ squish::Topology DiffusionSampler::reverse_step_sequential(const squish::Topolog
     const bool reverse_cols = (rr % 2) == 1;
     for (int cc = 0; cc < x.cols(); ++cc) {
       const int c = reverse_cols ? x.cols() - 1 - cc : cc;
-      const std::uint8_t old = x.at(r, c);
       const float p0 = denoiser_->predict_x0_pixel(x, r, c, k_from, condition);
-      const double p1 = reverse_p1(old, shifted_prob(p0, lambda), flip_0j, flip_jk);
-      x.set(r, c, rng.bernoulli(p1) ? 1 : 0);
+      x.set(r, c, rng.bernoulli(kernel.p1(x.at(r, c), p0)) ? 1 : 0);
     }
   }
   return x;
@@ -150,29 +243,27 @@ squish::Topology DiffusionSampler::map_polish(squish::Topology x, int k, int con
     if (target > 0.0 && target < 1.0) {
       ProbGrid p0;
       denoiser_->predict_x0(x, kk, condition, p0);
-      std::vector<float> sorted(p0.begin(), p0.end());
-      std::sort(sorted.begin(), sorted.end());
       const std::size_t idx = static_cast<std::size_t>(
-          std::clamp((1.0 - target) * static_cast<double>(sorted.size() - 1), 0.0,
-                     static_cast<double>(sorted.size() - 1)));
-      const double q = std::clamp(static_cast<double>(sorted[idx]), kProbEps, 1.0 - kProbEps);
+          std::clamp((1.0 - target) * static_cast<double>(p0.size() - 1), 0.0,
+                     static_cast<double>(p0.size() - 1)));
+      std::nth_element(p0.begin(), p0.begin() + static_cast<std::ptrdiff_t>(idx), p0.end());
+      const double q = std::clamp(static_cast<double>(p0[idx]), kProbEps, 1.0 - kProbEps);
       // Move the density-matching quantile to p = 0.5.
       lambda = -std::log(q / (1.0 - q));
       // Keep the correction gentle; the kernel's hysteresis does the rest.
       lambda = std::clamp(lambda, -2.0, 2.0);
     }
   }
+  // Reverse distribution straight to level 0 (flip_0j = 0).
+  ReverseKernelMemo kernel(lambda, 0.0, flip_jk);
   for (int rr = 0; rr < x.rows(); ++rr) {
     const int r = (kk % 2 == 0) ? x.rows() - 1 - rr : rr;
     const bool reverse_cols = (rr % 2) == 1;
     for (int cc = 0; cc < x.cols(); ++cc) {
       const int c = reverse_cols ? x.cols() - 1 - cc : cc;
       if (!keep_mask.empty() && keep_mask.at(r, c)) continue;
-      const std::uint8_t old = x.at(r, c);
       const float p0 = denoiser_->predict_x0_pixel(x, r, c, kk, condition);
-      // Reverse distribution straight to level 0 (flip_0j = 0).
-      const double p1 = reverse_p1(old, shifted_prob(p0, lambda), 0.0, flip_jk);
-      x.set(r, c, p1 > 0.5 ? 1 : 0);
+      x.set(r, c, kernel.p1(x.at(r, c), p0) > 0.5 ? 1 : 0);
     }
   }
   return x;

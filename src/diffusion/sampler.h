@@ -64,8 +64,19 @@ class DiffusionSampler : public TopologyGenerator {
   /// the unguided chain drift toward the empty pattern; the shift corrects
   /// the first moment while leaving the spatial ranking of predictions
   /// untouched. Disable for ablation.
+  ///
+  /// Cost: the shift's bisection and the scans' shifted kernel evaluate
+  /// their log/exp once per distinct p0 value of a call, not once per pixel.
+  /// A tabular denoiser returns few distinct values per grid, so guidance
+  /// costs little there; a neural denoiser's values are nearly all distinct.
   bool guidance() const { return guidance_; }
   void set_guidance(bool guidance) { guidance_ = guidance; }
+
+  /// Logit shift lambda such that mean(sigmoid(logit(p0) + lambda)) over
+  /// the predictions for `xk` at `k_from` matches the denoiser's prior
+  /// density; 0 when guidance is off or the density unknown. This is the
+  /// shift reverse_step applies.
+  double guidance_shift(const squish::Topology& xk, int k_from, int condition) const;
 
   /// Descending timestep list {K, ..., 1, 0} with ~`count` visited noisy
   /// steps, spaced uniformly in cumulative flip probability (count 0 or
@@ -132,11 +143,6 @@ class DiffusionSampler : public TopologyGenerator {
                                            int condition, util::Rng& rng) const;
   squish::Topology reverse_step_sequential(const squish::Topology& xk, int k_from, int k_to,
                                            int condition, util::Rng& rng) const;
-
-  /// Logit shift lambda such that mean(sigmoid(logit(p0) + lambda)) matches
-  /// the denoiser's prior density; 0 when guidance is off or density
-  /// unknown.
-  double guidance_shift(const squish::Topology& xk, int k_from, int condition) const;
 
   const NoiseSchedule* schedule_;
   const Denoiser* denoiser_;

@@ -17,18 +17,7 @@ namespace {
 constexpr auto& kOffsets = neighborhood::kOffsets;
 static_assert(neighborhood::kCount == TabularDenoiser::kNeighbors);
 
-// Reflect-101 boundary padding. A single reflection (-i / 2n-2-i) is only
-// valid while |i - clamp| < n; the cascade's coarse stage runs on grids as
-// small as rows/factor, where the distance-4 neighbourhood offsets overshoot
-// a whole period and a single reflection lands out of bounds. Fold into the
-// 2n-2 period first so any offset maps inside [0, n).
-inline int mirror(int i, int n) {
-  if (i >= 0 && i < n) return i;
-  if (n == 1) return 0;
-  const int period = 2 * n - 2;
-  i = ((i % period) + period) % period;
-  return i < n ? i : period - i;
-}
+using neighborhood::mirror;
 }  // namespace
 
 TabularDenoiser::TabularDenoiser(const NoiseSchedule& schedule, const TabularConfig& config)

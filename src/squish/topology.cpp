@@ -119,6 +119,16 @@ Topology Topology::window(int r0, int c0, int r1, int c1) const {
   return out;
 }
 
+void Topology::assign_where(const Topology& mask, const Topology& src) {
+  if (mask.rows_ != rows_ || mask.cols_ != cols_ || src.rows_ != rows_ || src.cols_ != cols_) {
+    throw std::invalid_argument("Topology::assign_where: dimension mismatch");
+  }
+  // Tail bits of mask and src are zero, so the tail-mask invariant holds.
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    words_[i] = (words_[i] & ~mask.words_[i]) | (src.words_[i] & mask.words_[i]);
+  }
+}
+
 void Topology::paste(const Topology& tile, int r0, int c0) {
   const int r_begin = std::max(0, r0);
   const int c_begin = std::max(0, c0);

@@ -63,6 +63,10 @@ class Topology {
     if (w == words_per_row_ - 1) mask &= tail_mask();
     words_[word_index(r, w)] ^= mask;
   }
+  /// Masked copy: each cell set in `mask` takes its value from `src`, the
+  /// others keep theirs. Word-parallel; `mask` and `src` must have this
+  /// grid's dimensions (std::invalid_argument otherwise).
+  void assign_where(const Topology& mask, const Topology& src);
   /// Mask of valid bits in the last word of each row (all ones if cols % 64
   /// == 0). Tail bits above it are zero by invariant.
   std::uint64_t tail_mask() const { return geometry::bitgrid_tail_mask(cols_); }

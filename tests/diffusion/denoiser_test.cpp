@@ -188,5 +188,31 @@ TEST(MlpDenoiserTest, FeatureDimAccountsForConditions) {
   EXPECT_EQ(d3.feature_dim(), d2.feature_dim() + 1);
 }
 
+TEST(MlpDenoiserTest, TinyGridFeaturesUseTheTabularMirror) {
+  // On grids under five cells a distance-4 probe crosses both borders; the
+  // MLP's neighbour features must still read in-grid cells, the same ones
+  // the tabular index reads.
+  const NoiseSchedule s{ScheduleConfig{}};
+  util::Rng rng(4);
+  MlpDenoiser d(s, MlpConfig{1, 8, 1}, rng);
+  std::vector<float> features(static_cast<std::size_t>(d.feature_dim()));
+  for (int n = 1; n <= 5; ++n) {
+    squish::Topology x(n, n + 1);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c <= n; ++c) x.set(r, c, rng.bernoulli(0.5) ? 1 : 0);
+    }
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c <= n; ++c) {
+        d.pixel_features(x, r, c, 10, 0, features.data());
+        const int index = TabularDenoiser::neighborhood_index(x, r, c);
+        for (int i = 0; i < TabularDenoiser::kNeighbors; ++i) {
+          EXPECT_EQ(features[static_cast<std::size_t>(i)], ((index >> i) & 1) ? 1.0f : -1.0f)
+              << "n=" << n << " cell (" << r << "," << c << ") neighbour " << i;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cp::diffusion

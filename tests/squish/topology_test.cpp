@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace cp::squish {
 namespace {
 
@@ -130,6 +132,34 @@ TEST(TopologyTest, UpsampleThenDownsampleIsIdentity) {
   t.set(1, 2, 1);
   t.set(2, 1, 1);
   EXPECT_EQ(downsample_majority(upsample_nearest(t, 4), 4), t);
+}
+
+TEST(TopologyTest, AssignWhereMatchesScalarLoop) {
+  // 70 and 130 columns end in a partial tail word; 64 fills its last word.
+  for (const int cols : {1, 5, 64, 70, 130}) {
+    util::Rng rng(static_cast<std::uint64_t>(cols));
+    auto random_grid = [&](double p) {
+      Topology t(7, cols);
+      for (int r = 0; r < t.rows(); ++r) {
+        for (int c = 0; c < cols; ++c) t.set(r, c, rng.bernoulli(p) ? 1 : 0);
+      }
+      return t;
+    };
+    const Topology dst = random_grid(0.5), mask = random_grid(0.3), src = random_grid(0.5);
+    Topology want = dst;
+    for (int r = 0; r < want.rows(); ++r) {
+      for (int c = 0; c < cols; ++c) {
+        if (mask.at(r, c)) want.set(r, c, src.at(r, c));
+      }
+    }
+    Topology got = dst;
+    got.assign_where(mask, src);
+    // operator== compares whole words, so this also checks the zero tail.
+    EXPECT_EQ(got, want) << "cols=" << cols;
+  }
+  Topology t(3, 4);
+  EXPECT_THROW(t.assign_where(Topology(3, 5), Topology(3, 4)), std::invalid_argument);
+  EXPECT_THROW(t.assign_where(Topology(3, 4), Topology(2, 4)), std::invalid_argument);
 }
 
 }  // namespace

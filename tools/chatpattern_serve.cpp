@@ -44,9 +44,12 @@
 // --connect-port flags: --connect-host H (default 127.0.0.1), --conns N,
 //   --replay-timeout-ms N, plus --trace/--out as in replay mode.
 //
+// Every argument is a flag: a bare word (say, a trace file passed without
+// --trace) prints usage and exits 2.
+//
 // Exit codes: 0 = success; 1 = trace contained malformed lines (replay
-// modes); 2 = cannot read trace / write outputs / bind; 3 = TCP replay did
-// not complete (connection lost or timed out).
+// modes); 2 = unexpected argument, or cannot read trace / write outputs /
+// bind; 3 = TCP replay did not complete (connection lost or timed out).
 
 #include <cstdio>
 #include <fstream>
@@ -361,6 +364,16 @@ int run_connect_mode(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
+  if (!flags.positional().empty()) {
+    // Every input is a flag; a bare word is most likely a trace file passed
+    // without --trace, which would otherwise replay stdin.
+    std::fprintf(stderr,
+                 "error: unexpected argument '%s'\n"
+                 "usage: %s [--trace FILE] [--out FILE] [flags...]\n"
+                 "(the flags are listed in tools/chatpattern_serve.cpp)\n",
+                 flags.positional().front().c_str(), argv[0]);
+    return 2;
+  }
   if (flags.has("worker-fd")) return run_worker_mode(argc, argv);
   if (flags.has("listen")) return run_listen_mode(argc, argv);
   if (flags.has("connect-port")) return run_connect_mode(argc, argv);
