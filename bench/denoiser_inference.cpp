@@ -1,15 +1,11 @@
-// Neural-denoiser inference throughput: before/after the blocked-GEMM +
-// stateless-infer rewrite (nn/gemm.h, nn::Workspace), serial and parallel.
-//
-// The "legacy" path reconstructs the pre-rewrite cost model faithfully: the
-// naive triple-loop kernel, a freshly allocated tensor per layer, a fresh
-// feature tensor per call, and per-pixel time/condition feature recompute —
-// exactly what Sequential::forward + the old linear_forward did. Because the
-// blocked kernels preserve accumulation order, legacy and new outputs must
-// be bit-identical; the bench verifies that and fails otherwise.
+// Neural-denoiser inference throughput on the blocked-GEMM + stateless-infer
+// path (nn/gemm.h, nn::Workspace), serial and parallel: the portable 8-wide
+// kernel, the AVX2 fp32 and int8 vector tiers against it, the bit-packed
+// substrate kernels against the byte-grid test oracles, and BatchSampler
+// scaling. Every bit-identity audit folds into the exit code.
 //
 // Writes BENCH_denoiser.json (override --json FILE) with single-thread
-// grid/pixel speedups and BatchSampler scaling rows (hardware_threads
+// grid/pixel timings and BatchSampler scaling rows (hardware_threads
 // recorded, like parallel_scaling — on a 1-core container every scaling row
 // measures ~1x).
 //
@@ -19,19 +15,17 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "bench/common.h"
 #include "diffusion/batch_sampler.h"
 #include "diffusion/mlp_denoiser.h"
-#include "diffusion/reference.h"
 #include "diffusion/tabular_denoiser.h"
 #include "diffusion/transition.h"
 #include "drc/checker.h"
 #include "nn/gemm.h"
-#include "squish/reference.h"
+#include "tests/diffusion/reference.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -45,58 +39,6 @@ squish::Topology stripes(int n, int period) {
     for (int c = 0; c < n; ++c) t.set(r, c, (c / period) % 2);
   }
   return t;
-}
-
-inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-/// The pre-rewrite Sequential::forward: naive GEMM, a fresh allocation per
-/// layer, and — like the old trainable Layer::forward — a copy of every
-/// layer's input into its activation cache (`input_ = x`), the state that
-/// made inference non-thread-safe. `cache` stands in for those persistent
-/// per-layer members (copy-assigned each call, exactly like the originals).
-nn::Tensor legacy_forward(nn::Sequential& net, const nn::Tensor& x,
-                          std::vector<nn::Tensor>& cache) {
-  cache.resize(net.size());
-  nn::Tensor h = x;
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* lin = dynamic_cast<nn::Linear*>(&layer)) {
-      cache[i] = h;  // Linear::forward: input_ = x
-      const int n = h.dim(0), in = h.dim(1), out = lin->out_features();
-      nn::Tensor y({n, out});
-      nn::gemm::forward_naive(n, in, out, h.data(), lin->weight().value.data(),
-                              lin->bias().value.data(), y.data());
-      h = std::move(y);
-    } else if (std::strcmp(layer.name(), "SiLU") == 0) {
-      cache[i] = h;  // SiLU::forward: input_ = x
-      nn::Tensor y = h;
-      for (std::size_t j = 0; j < y.numel(); ++j) y[j] = h[j] * sigmoidf(h[j]);
-      h = std::move(y);
-    } else {
-      h = layer.forward(h);
-    }
-  }
-  return h;
-}
-
-/// Pre-rewrite predict_x0: fresh feature tensor (per-pixel tail recompute
-/// inside build_features) + legacy forward.
-void legacy_predict_x0(diffusion::MlpDenoiser& d, const squish::Topology& xk, int k, int cond,
-                       std::vector<nn::Tensor>& cache, diffusion::ProbGrid& p0) {
-  const nn::Tensor features = d.build_features(xk, k, cond);
-  const nn::Tensor logits = legacy_forward(d.net(), features, cache);
-  p0.resize(xk.size());
-  for (std::size_t i = 0; i < p0.size(); ++i) p0[i] = sigmoidf(logits[i]);
-}
-
-/// Pre-rewrite predict_x0_pixel: one tensor allocation + full forward per
-/// pixel.
-float legacy_predict_pixel(diffusion::MlpDenoiser& d, const squish::Topology& xk, int r, int c,
-                           int k, int cond, std::vector<nn::Tensor>& cache) {
-  nn::Tensor features({1, d.feature_dim()});
-  d.pixel_features(xk, r, c, k, cond, features.data());
-  const nn::Tensor logits = legacy_forward(d.net(), features, cache);
-  return sigmoidf(logits[0]);
 }
 
 /// Best mean-per-call over three passes: the minimum discards scheduler noise
@@ -171,7 +113,7 @@ int main(int argc, char** argv) {
   // The MLP the kernels were tuned for: feature_dim 23 -> 64 -> 64 -> 1.
   const diffusion::NoiseSchedule schedule{diffusion::ScheduleConfig{}};
   util::Rng rng(seed);
-  diffusion::MlpDenoiser d(schedule, diffusion::MlpConfig{2, 64, 2}, rng);
+  const diffusion::MlpDenoiser d(schedule, diffusion::MlpConfig{2, 64, 2}, rng);
   // The int8 tier is a model property: an int8 twin with the same weights.
   util::Rng twin_rng(seed);
   const diffusion::MlpDenoiser dq(schedule, diffusion::MlpConfig{2, 64, 2, true}, twin_rng);
@@ -183,43 +125,21 @@ int main(int argc, char** argv) {
               grid_n, grid_n);
   std::printf("hardware threads: %d\n\n", util::ThreadPool::hardware_threads());
 
-  // --- Single-thread grid forward: legacy vs new, plus bit-identity audit.
-  // SIMD dispatch off: "new" here is the portable 8-wide kernel, so
-  // grid_new_ms stays comparable across report generations; the 16-wide AVX2
+  // --- Single-thread grid forward and pixel query (the sequential reverse
+  // sampler's hot loop: re-querying one pixel at a time at a fixed step).
+  // SIMD dispatch off: grid_new_ms/pixel_new_us time the portable 8-wide
+  // kernel, comparable across report generations; the 16-wide AVX2
   // and int8 tiers are measured against it in the vector-tier section below.
   nn::gemm::set_simd_enabled(false);
-  std::vector<nn::Tensor> legacy_cache;  // the old layers' persistent input_ members
-  diffusion::ProbGrid p_legacy, p_new;
-  legacy_predict_x0(d, xk, 40, 0, legacy_cache, p_legacy);
-  d.predict_x0(xk, 40, 0, p_new);
-  bool bit_identical = p_legacy.size() == p_new.size();
-  for (std::size_t i = 0; bit_identical && i < p_legacy.size(); ++i) {
-    bit_identical = p_legacy[i] == p_new[i];
-  }
-
-  const double grid_legacy = seconds_per_call(
-      reps, [&](int i) { legacy_predict_x0(d, xk, 40, i % 2, legacy_cache, p_legacy); });
+  diffusion::ProbGrid p_new;
   const double grid_new =
       seconds_per_call(reps, [&](int i) { d.predict_x0(xk, 40, i % 2, p_new); });
-  const double grid_speedup = grid_legacy / grid_new;
-
-  // --- Single-thread pixel path (the sequential reverse sampler's hot loop:
-  // serpentine scan re-querying one pixel at a time at a fixed step).
   double sink = 0.0;
-  const double pixel_legacy = seconds_per_call(pixel_reps, [&](int i) {
-    sink += legacy_predict_pixel(d, xk, i % grid_n, (i / grid_n) % grid_n, 40, 0, legacy_cache);
-  });
   const double pixel_new = seconds_per_call(pixel_reps, [&](int i) {
     sink += d.predict_x0_pixel(xk, i % grid_n, (i / grid_n) % grid_n, 40, 0);
   });
-  const double pixel_speedup = pixel_legacy / pixel_new;
-
-  std::printf("grid forward : legacy %8.3f ms  new %8.3f ms  speedup %5.2fx\n",
-              grid_legacy * 1e3, grid_new * 1e3, grid_speedup);
-  std::printf("pixel query  : legacy %8.2f us  new %8.2f us  speedup %5.2fx\n",
-              pixel_legacy * 1e6, pixel_new * 1e6, pixel_speedup);
-  std::printf("legacy vs new bit-identical: %s   (checksum %.6f)\n\n",
-              bit_identical ? "yes" : "NO", sink);
+  std::printf("grid forward : %8.3f ms\npixel query  : %8.2f us\n\n", grid_new * 1e3,
+              pixel_new * 1e6);
 
   // --- Vector tiers (DESIGN.md "Quantized inference"): the 16-wide AVX2
   // fp32 tile must be bit-identical to the portable baseline above; the
@@ -285,7 +205,7 @@ int main(int argc, char** argv) {
   std::printf("row query    : fp32-vec %8.2f us/px (%.2fx vs pixel, %s)  int8 %8.2f us/px\n\n",
               row_fp32 * 1e6, pixel_new / row_fp32,
               row_identical ? "bit-identical" : "<< MISMATCH", row_int8 * 1e6);
-  bit_identical = bit_identical && vec_identical && row_identical && int8_close;
+  bool bit_identical = vec_identical && row_identical && int8_close;
 
   // --- Packed substrate microkernels: the bit-packed Topology (64 cells per
   // uint64_t word, docs/GRID.md) against the retained byte-per-cell reference
@@ -444,13 +364,8 @@ int main(int argc, char** argv) {
   }
 
   util::JsonObject single;
-  single["grid_legacy_ms"] = grid_legacy * 1e3;
   single["grid_new_ms"] = grid_new * 1e3;
-  single["grid_speedup"] = grid_speedup;
-  single["pixel_legacy_us"] = pixel_legacy * 1e6;
   single["pixel_new_us"] = pixel_new * 1e6;
-  single["pixel_speedup"] = pixel_speedup;
-  single["legacy_vs_new_bit_identical"] = bit_identical;
   // Vector tiers, all relative to the portable 8-wide baseline (grid_new_ms).
   single["avx2_available"] = have_avx2;
   single["grid_fp32_vec_ms"] = grid_vec * 1e3;
@@ -479,14 +394,14 @@ int main(int argc, char** argv) {
   report["batch_rows"] = util::Json(std::move(rows));
   std::ofstream out = bench::open_output(json_path);
   out << util::Json(std::move(report)).dump(2) << "\n";
-  std::printf("\nreport: %s\n", json_path.c_str());
+  std::printf("\nreport: %s   (checksum %.6f)\n", json_path.c_str(), sink);
 
   if (!manifest_path.empty()) {
     obs::RunManifest manifest;
     manifest.tool = "denoiser_inference";
     for (int i = 1; i < argc; ++i) manifest.args.push_back(argv[i]);
-    manifest.metrics["grid_speedup"] = grid_speedup;
-    manifest.metrics["pixel_speedup"] = pixel_speedup;
+    manifest.metrics["grid_fp32_vec_speedup"] = grid_new / grid_vec;
+    manifest.metrics["grid_int8_speedup"] = grid_new / grid_int8;
     std::string error;
     if (!manifest.write(manifest_path, obs::Registry::global(), &error)) {
       std::fprintf(stderr, "error: manifest: %s\n", error.c_str());

@@ -1,6 +1,6 @@
 // Serving-layer load benchmark: replays synthetic request traces through
 // serve::Server and reports client-observed latency percentiles
-// (p50/p95/p99) and throughput for two scenarios:
+// (p50/p95/p99) and throughput for three scenarios:
 //
 //   * cold        — every request has distinct content; the result cache
 //                   cannot help and every request pays a diffusion call.
@@ -19,38 +19,20 @@
 //                   tuned step budgets, so it would mask the knob). The
 //                   JSON records the fast-mode throughput multiple.
 //
-//   * multiproc    — the fault-isolated multi-process tier end-to-end: a
-//                   spawned `chatpattern_serve --listen` front-end with N
-//                   forked workers, driven over TCP by the pipelined replay
-//                   client at 10k+ concurrent requests (duplicate-heavy, so
-//                   the per-shard caches carry the volume the way a real
-//                   agent session would). Requires --serve_bin pointing at
-//                   the chatpattern_serve binary; skipped otherwise.
-//
 // Results are written to BENCH_serving.json (override with --json FILE).
 // Extra flags on top of bench/common.h: --json FILE, --requests N,
 // --distinct K, --workers N, --rows N, --legalize 0|1, --fast_requests N,
-// --fast_steps N, --fast_schedule KIND, --serve_bin PATH, --mp_requests N,
-// --mp_distinct K, --mp_procs N, --mp_connections N.
-
-#include <unistd.h>
+// --fast_steps N, --fast_schedule KIND.
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
-#include <filesystem>
 #include <fstream>
 #include <future>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
-#include "serve/client.h"
 #include "serve/server.h"
 #include "util/json.h"
-#include "util/net.h"
-#include "util/subprocess.h"
 
 using namespace cp;
 
@@ -124,121 +106,6 @@ util::Json to_json(const ScenarioResult& r, std::size_t requests) {
   j["p99_ms"] = r.p99_ms;
   j["combined_hash"] = util::format("%016llx", static_cast<unsigned long long>(r.combined_hash));
   return j;
-}
-
-struct MultiprocResult {
-  bool ran = false;
-  std::string skip_reason;
-  long long answered = 0, ok = 0, degraded = 0, cache_hits = 0;
-  double wall_s = 0, throughput_rps = 0;
-  double p50_ms = 0, p95_ms = 0, p99_ms = 0;
-  std::uint64_t combined_hash = 0;
-};
-
-/// Spawn `serve_bin --listen`, wait for every worker to report ready, drive
-/// the trace through the pipelined TCP replay client, then shut the tier
-/// down cleanly. All-or-nothing: any setup failure records a skip reason
-/// instead of failing the bench.
-MultiprocResult run_multiproc(const std::string& serve_bin, int procs, int train,
-                              const std::vector<serve::GenerationRequest>& trace,
-                              int connections) {
-  namespace fs = std::filesystem;
-  MultiprocResult out;
-  const fs::path dir =
-      fs::temp_directory_path() / ("cp_bench_mp_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  const std::string port_file = (dir / "port.txt").string();
-  const std::string state_file = (dir / "state.json").string();
-
-  std::string spawn_error;
-  const pid_t server = util::spawn_process(
-      {serve_bin, "--listen", "--procs", std::to_string(procs), "--train",
-       std::to_string(train), "--port-file", port_file, "--state-file", state_file,
-       "--queue", "16384"},
-      &spawn_error);
-  if (server <= 0) {
-    out.skip_reason = "spawn failed: " + spawn_error;
-    return out;
-  }
-
-  // Wait for the state file to report every worker alive (worker startup
-  // includes training the backend, so the budget is generous).
-  int port = 0;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(300);
-  while (std::chrono::steady_clock::now() < deadline) {
-    util::ExitStatus st;
-    if (util::try_wait(server, &st)) {
-      out.skip_reason = "server exited during startup: " + st.describe();
-      return out;
-    }
-    std::ifstream in(state_file);
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      try {
-        const util::Json state = util::Json::parse(ss.str());
-        if (state.get_int("alive", 0) == procs) {
-          port = static_cast<int>(state.get_int("port", 0));
-          break;
-        }
-      } catch (const std::exception&) {  // partial write; retry
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  if (port == 0) {
-    out.skip_reason = "workers never became ready";
-    util::kill_process(server, SIGKILL);
-    util::wait_process(server);
-    return out;
-  }
-
-  std::vector<std::string> lines;
-  lines.reserve(trace.size());
-  for (const serve::GenerationRequest& r : trace) lines.push_back(r.to_json().dump());
-
-  serve::ReplayClientOptions options;
-  options.port = port;
-  options.connections = connections;
-  const auto start = std::chrono::steady_clock::now();
-  const serve::ReplayReport report = serve::replay_over_tcp(lines, options);
-  out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  // Graceful shutdown: one control line, then reap.
-  try {
-    util::net::Socket ctl = util::net::connect_tcp("127.0.0.1", port, 2000);
-    util::net::send_all(ctl.fd(), "{\"cmd\":\"shutdown\"}\n", 2000);
-    std::string reply;
-    util::net::LineReader(ctl.fd()).read_line(&reply, 5000);
-  } catch (const std::exception&) {
-    util::kill_process(server, SIGKILL);
-  }
-  util::wait_process(server);
-  fs::remove_all(dir);
-
-  if (!report.ok) {
-    out.skip_reason = "replay failed: " + report.error;
-    return out;
-  }
-  out.ran = true;
-  out.answered = report.answered;
-  out.combined_hash = report.combined_hash;
-  std::vector<double> latencies;
-  latencies.reserve(report.outcomes.size());
-  for (const serve::ReplayOutcome& o : report.outcomes) {
-    if (!o.answered) continue;
-    if (o.status == "ok") ++out.ok;
-    if (o.degraded) ++out.degraded;
-    if (o.cache_hit) ++out.cache_hits;
-    latencies.push_back(o.latency_ms);
-  }
-  std::sort(latencies.begin(), latencies.end());
-  out.p50_ms = percentile(latencies, 0.50);
-  out.p95_ms = percentile(latencies, 0.95);
-  out.p99_ms = percentile(latencies, 0.99);
-  out.throughput_rps =
-      out.wall_s > 0 ? static_cast<double>(report.answered) / out.wall_s : 0;
-  return out;
 }
 
 }  // namespace
@@ -328,39 +195,6 @@ int main(int argc, char** argv) {
       full.throughput_rps > 0 ? fast.throughput_rps / full.throughput_rps : 0;
   std::printf("  fast-mode speedup: %.2fx\n", fast_speedup);
 
-  // Multi-process tier at 10k+ concurrent requests (opt-in via --serve_bin).
-  const std::string serve_bin = flags.get("serve_bin", "");
-  const long long mp_requests = flags.get_int("mp_requests", 10000);
-  const long long mp_distinct = std::max<long long>(1, flags.get_int("mp_distinct", 64));
-  const int mp_procs = static_cast<int>(flags.get_int("mp_procs", 2));
-  const int mp_connections = static_cast<int>(flags.get_int("mp_connections", 8));
-  MultiprocResult mp;
-  if (serve_bin.empty()) {
-    mp.skip_reason = "no --serve_bin given";
-  } else {
-    std::vector<serve::GenerationRequest> mp_trace;
-    mp_trace.reserve(static_cast<std::size_t>(mp_requests));
-    for (long long i = 0; i < mp_requests; ++i) {
-      serve::GenerationRequest r =
-          make_request(i, static_cast<std::uint64_t>(9000 + i % mp_distinct));
-      r.id = "mp-" + std::to_string(i);
-      mp_trace.push_back(std::move(r));
-    }
-    std::printf("[bench] multiproc: %lld requests over %d worker process(es), "
-                "%d connection(s)...\n",
-                mp_requests, mp_procs, mp_connections);
-    mp = run_multiproc(serve_bin, mp_procs, env.config.train_clips_per_class, mp_trace,
-                       mp_connections);
-    if (mp.ran) {
-      std::printf("  multiproc:       %7.1f req/s  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms"
-                  "  (%lld answered, %lld cache hits, %lld degraded)\n",
-                  mp.throughput_rps, mp.p50_ms, mp.p95_ms, mp.p99_ms, mp.answered,
-                  mp.cache_hits, mp.degraded);
-    } else {
-      std::printf("  multiproc: skipped (%s)\n", mp.skip_reason.c_str());
-    }
-  }
-
   util::Json report;
   report["bench"] = std::string("serving_load");
   report["workers"] = static_cast<long long>(config.workers);
@@ -380,28 +214,6 @@ int main(int argc, char** argv) {
   fast_mode["fast"] = to_json(fast, fast_trace.size());
   fast_mode["speedup"] = fast_speedup;
   report["fast_mode"] = std::move(fast_mode);
-  util::Json multiproc;
-  multiproc["ran"] = mp.ran;
-  if (mp.ran) {
-    multiproc["procs"] = static_cast<long long>(mp_procs);
-    multiproc["connections"] = static_cast<long long>(mp_connections);
-    multiproc["requests"] = mp_requests;
-    multiproc["distinct"] = mp_distinct;
-    multiproc["answered"] = mp.answered;
-    multiproc["ok"] = mp.ok;
-    multiproc["cache_hits"] = mp.cache_hits;
-    multiproc["degraded"] = mp.degraded;
-    multiproc["wall_s"] = mp.wall_s;
-    multiproc["throughput_rps"] = mp.throughput_rps;
-    multiproc["p50_ms"] = mp.p50_ms;
-    multiproc["p95_ms"] = mp.p95_ms;
-    multiproc["p99_ms"] = mp.p99_ms;
-    multiproc["combined_hash"] =
-        util::format("%016llx", static_cast<unsigned long long>(mp.combined_hash));
-  } else {
-    multiproc["skip_reason"] = mp.skip_reason;
-  }
-  report["multiproc"] = std::move(multiproc);
   std::ofstream out = bench::open_output(json_path);
   out << report.dump(2) << "\n";
   std::printf("[bench] wrote %s\n", json_path.c_str());
@@ -410,10 +222,6 @@ int main(int argc, char** argv) {
   env.manifest.metrics["dup_rps"] = dup.throughput_rps;
   env.manifest.metrics["cache_speedup"] = speedup;
   env.manifest.metrics["fast_mode_speedup"] = fast_speedup;
-  if (mp.ran) {
-    env.manifest.metrics["multiproc_rps"] = mp.throughput_rps;
-    env.manifest.metrics["multiproc_p99_ms"] = mp.p99_ms;
-  }
   bench::write_manifest(env);
   return 0;
 }

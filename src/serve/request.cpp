@@ -26,15 +26,42 @@ std::uint64_t mix_string(std::uint64_t state, const std::string& s) {
   return state;
 }
 
+/// The value of `key`, or `fallback` when the field is absent. A value of
+/// another JSON type than `fallback` is rejected rather than defaulted: the
+/// default would serve the request as a different one.
+const util::Json& field(const util::Json& j, const char* key, const util::Json& fallback) {
+  const util::JsonObject& fields = j.as_object();
+  const auto it = fields.find(key);
+  if (it == fields.end()) return fallback;
+  if (it->second.type() != fallback.type()) {
+    static constexpr const char* kTypeNames[] = {"null",   "boolean", "number",
+                                                 "string", "array",   "object"};
+    throw std::invalid_argument(std::string("'") + key + "' must be a " +
+                                kTypeNames[static_cast<int>(fallback.type())]);
+  }
+  return it->second;
+}
+
 /// An int-typed field, rounded as Json::as_int rounds. A value outside int
 /// range is rejected rather than narrowed: narrowing would serve (and cache)
 /// the request as a different one.
 int get_int_field(const util::Json& j, const char* key, int fallback) {
-  const double v = std::round(j.get_number(key, fallback));
+  const double v = std::round(field(j, key, fallback).as_number());
   if (!(v >= INT_MIN && v <= INT_MAX)) {
     throw std::invalid_argument(std::string("'") + key + "' is outside int range");
   }
   return static_cast<int>(v);
+}
+
+/// A 64-bit field (seed, sizes in nm). JSON numbers are doubles, exact only
+/// below 2^53: a larger literal would silently round onto a neighbour
+/// (9007199254740993 reads as 2^53), so only integers in [0, 2^53) pass.
+std::uint64_t get_u53_field(const util::Json& j, const char* key, std::uint64_t fallback) {
+  const double v = field(j, key, static_cast<double>(fallback)).as_number();
+  if (!(v >= 0 && v < 9007199254740992.0 && v == std::floor(v))) {
+    throw std::invalid_argument(std::string("'") + key + "' must be an integer in [0, 2^53)");
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -108,28 +135,28 @@ std::string validate(const GenerationRequest& r) {
 GenerationRequest GenerationRequest::from_json(const util::Json& j) {
   if (!j.is_object()) throw std::invalid_argument("request must be a JSON object");
   GenerationRequest r;
-  r.id = j.get_string("id", "");
-  r.style = j.get_string("style", r.style);
+  r.id = field(j, "id", "").as_string();
+  r.style = field(j, "style", r.style).as_string();
   r.count = get_int_field(j, "count", r.count);
   r.rows = get_int_field(j, "rows", r.rows);
   r.cols = get_int_field(j, "cols", r.cols);
   r.sample_steps = get_int_field(j, "steps", r.sample_steps);
   r.polish_rounds = get_int_field(j, "polish", r.polish_rounds);
-  r.schedule = j.get_string("schedule", "");
-  const std::string precision = j.get_string("precision", "fp32");
+  r.schedule = field(j, "schedule", "").as_string();
+  const std::string precision = field(j, "precision", "fp32").as_string();
   if (precision != "fp32") {
     throw std::invalid_argument("unsupported 'precision' '" + precision +
                                 "': the served model has no int8 tier (want fp32)");
   }
-  r.width_nm = j.get_int("width_nm", r.width_nm);
-  r.height_nm = j.get_int("height_nm", r.height_nm);
-  r.seed = static_cast<std::uint64_t>(j.get_int("seed", 1));
-  r.legalize = j.get_bool("legalize", true);
-  r.source = j.get_string("source", "");
+  r.width_nm = static_cast<geometry::Coord>(get_u53_field(j, "width_nm", r.width_nm));
+  r.height_nm = static_cast<geometry::Coord>(get_u53_field(j, "height_nm", r.height_nm));
+  r.seed = get_u53_field(j, "seed", 1);
+  r.legalize = field(j, "legalize", true).as_bool();
+  r.source = field(j, "source", "").as_string();
   r.priority = get_int_field(j, "priority", 1);
-  r.deadline_ms = j.get_number("deadline_ms", 0.0);
-  r.tenant = j.get_string("tenant", "");
-  r.no_cache = j.get_bool("no_cache", false);
+  r.deadline_ms = field(j, "deadline_ms", 0.0).as_number();
+  r.tenant = field(j, "tenant", "").as_string();
+  r.no_cache = field(j, "no_cache", false).as_bool();
   const std::string reason = validate(r);
   if (!reason.empty()) throw std::invalid_argument(reason);
   return r;

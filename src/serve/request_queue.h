@@ -20,9 +20,10 @@
 //   * Cancellation: cancel(id) removes a still-queued request and completes
 //     its future as kCancelled.
 //
-// pop_batch() is the consumer side used by the Batcher: it returns the
-// highest-effective-priority request plus every compatible (equal BatchKey)
-// pending request up to a cap, waiting briefly for the batch to fill.
+// pop_batch() is the consumer side, called by the Server's dispatcher with
+// its BatchPolicy (server.h): it returns the highest-effective-priority
+// request plus every compatible (equal BatchKey) pending request up to a
+// cap, waiting briefly for the batch to fill.
 // Scheduling order affects *when* a request runs, never what it produces —
 // payload determinism is the Server's per-request stream contract.
 

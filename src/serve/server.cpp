@@ -39,8 +39,7 @@ Server::Server(const diffusion::TopologyGenerator& generator,
       pool_(config.workers > 1 ? std::make_unique<util::ThreadPool>(config.workers) : nullptr),
       sampler_(generator, pool_.get()),
       cache_(config.cache_entries),
-      queue_(config.queue_capacity, config.aging_interval_ms),
-      batcher_(&queue_, config.batch) {
+      queue_(config.queue_capacity, config.aging_interval_ms) {
   if (legalizers_.empty()) throw std::invalid_argument("Server: no legalizers");
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -197,8 +196,16 @@ void Server::shutdown() {
 
 void Server::dispatch_loop() {
   for (;;) {
-    std::vector<PendingRequest> batch = batcher_.next_batch();
+    std::vector<PendingRequest> batch = queue_.pop_batch(
+        config_.batch.max_batch_requests, std::chrono::microseconds(config_.batch.max_wait_us));
     if (batch.empty()) return;  // queue closed and drained
+    obs::count("serve/batches");
+    obs::observe("serve/batch_requests", static_cast<double>(batch.size()));
+    const auto popped = Clock::now();
+    for (const PendingRequest& p : batch) {
+      obs::observe("serve/queue_wait_s",
+                   std::chrono::duration<double>(popped - p.admitted_at).count());
+    }
     try {
       execute_batch(std::move(batch));
     } catch (const std::exception& e) {

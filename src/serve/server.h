@@ -3,7 +3,7 @@
 // stack (docs/SERVING.md).
 //
 //   submit() -> RequestQueue (bounded; admission control, priority aging,
-//   deadlines) -> Batcher (microbatching) -> one dispatcher thread that
+//   deadlines) -> one dispatcher thread that pops microbatches (BatchPolicy),
 //   coalesces compatible requests into single BatchSampler::sample_jobs
 //   invocations fanned out on a util::ThreadPool, legalizes candidates in
 //   parallel, retries streams that fail legalization, and fulfills the
@@ -38,13 +38,26 @@
 #include "diffusion/batch_sampler.h"
 #include "legalize/legalizer.h"
 #include "pattlib/pattern_store.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/request_queue.h"
 #include "util/retry.h"
 #include "util/thread_pool.h"
 
 namespace cp::serve {
+
+/// Microbatching: the dispatcher turns queued requests into coalesced
+/// batches for single BatchSampler invocations. A bigger batch amortizes
+/// fan-out and keeps every worker busy, but waiting for it to fill delays
+/// the requests already queued, so a batch is cut when (a)
+/// `max_batch_requests` compatible requests are pending, or (b)
+/// `max_wait_us` has elapsed since the dispatcher started assembling it,
+/// whichever comes first. "Compatible" = equal BatchKey (request.h).
+/// Batch composition affects only scheduling; every request's payload is
+/// stream-determined.
+struct BatchPolicy {
+  int max_batch_requests = 8;    // cut at this many coalesced requests
+  long long max_wait_us = 2000;  // ... or after this long assembling
+};
 
 struct ServerConfig {
   /// Fan-out width. 1 = fully serial (no pool) — the determinism baseline.
@@ -188,7 +201,6 @@ class Server {
   diffusion::BatchSampler sampler_;
   PatternCache cache_;
   RequestQueue queue_;
-  Batcher batcher_;
 
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;

@@ -14,8 +14,8 @@
 // of each row are always zero — the tail-mask invariant — which makes
 // equality a plain member compare and row comparison a word-vector compare.
 // docs/GRID.md is the authoritative description of the layout and of how to
-// write new packed kernels; src/squish/reference.h retains the byte-backed
-// implementation as the executable specification.
+// write new packed kernels; the test oracle tests/squish/reference.h keeps the
+// byte-backed implementation as the executable specification.
 
 #include <cstdint>
 #include <string>

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "diffusion/mlp_denoiser.h"
 #include "diffusion/tabular_denoiser.h"
 #include "diffusion/transition.h"
+#include "nn/gemm.h"
 
 namespace cp::diffusion {
 namespace {
@@ -165,6 +168,33 @@ TEST(MlpDenoiserTest, PixelMatchesGrid) {
   ProbGrid grid;
   d.predict_x0(x, 17, 0, grid);
   EXPECT_NEAR(d.predict_x0_pixel(x, 5, 7, 17, 0), grid[5 * 12 + 7], 1e-6);
+}
+
+TEST(MlpDenoiserTest, GridMatchesTrainingForwardBitExactly) {
+  // The inference path (plane-gathered features, cached time tail,
+  // stateless blocked infer, SIMD on or off) against the training path
+  // (per-pixel build_features, stateful forward): same bits. The forward
+  // kernels equal the naive loop per nn/gemm_test.
+  const NoiseSchedule s{ScheduleConfig{}};
+  util::Rng rng(7);
+  MlpDenoiser d(s, MlpConfig{2, 64, 2}, rng);
+  util::Rng noise(8);
+  const squish::Topology x = forward_noise(stripes(70, 3), s, 40, noise);
+  const bool simd = nn::gemm::simd_enabled();
+  for (const bool vec : {false, true}) {
+    nn::gemm::set_simd_enabled(vec);
+    for (const int cond : {0, 1}) {
+      const nn::Tensor logits = d.net().forward(d.build_features(x, 40, cond));
+      ProbGrid grid;
+      d.predict_x0(x, 40, cond, grid);
+      ASSERT_EQ(grid.size(), logits.numel());
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        ASSERT_EQ(grid[i], 1.0f / (1.0f + std::exp(-logits[i])))
+            << "simd " << vec << " cond " << cond << " cell " << i;
+      }
+    }
+  }
+  nn::gemm::set_simd_enabled(simd);
 }
 
 TEST(MlpDenoiserTest, ConditionChangesOutput) {

@@ -1,5 +1,5 @@
 // Parity of the word-parallel diffusion/DRC kernels against the retained
-// scalar reference implementations (diffusion/reference.h). The packed
+// scalar reference implementations (tests/diffusion/reference.h). The packed
 // kernels must be bit-identical AND consume the identical RNG stream — the
 // goldens and the cross-thread determinism contract both depend on it.
 
@@ -7,11 +7,11 @@
 
 #include <vector>
 
-#include "diffusion/reference.h"
 #include "diffusion/tabular_denoiser.h"
 #include "diffusion/transition.h"
 #include "drc/checker.h"
-#include "squish/reference.h"
+#include "tests/diffusion/reference.h"
+#include "tests/squish/reference.h"
 #include "util/rng.h"
 
 namespace cp::diffusion {

@@ -1,4 +1,4 @@
-#include "diffusion/reference.h"
+#include "tests/diffusion/reference.h"
 
 #include "diffusion/neighborhood.h"
 

@@ -8,7 +8,7 @@
 // tabular_denoiser.cpp; tests/diffusion/packed_parity_test.cpp enforces it.
 
 #include "diffusion/schedule.h"
-#include "squish/reference.h"
+#include "tests/squish/reference.h"
 #include "util/rng.h"
 
 namespace cp::diffusion {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "serve/request.h"
 
@@ -158,6 +159,53 @@ TEST(RequestWire, IntegerFieldsOutsideIntRangeAreRejected) {
       parse_request_line(R"({"id":"q","priority":-2147483648})");
   ASSERT_TRUE(min_priority.ok) << min_priority.error;
   EXPECT_EQ(min_priority.request.priority, -2147483647 - 1);
+}
+
+TEST(RequestWire, SeedAndSizesAreExactIntegersBelowTwoTo53) {
+  // A JSON number is a double: 9007199254740993 reads as 2^53 and would be
+  // served, cached and deduplicated as seed 9007199254740992; -1 would
+  // become 2^64-1, and 7.5 would round to 8.
+  for (const char* key : {"seed", "width_nm", "height_nm"}) {
+    for (const char* value : {"9007199254740993", "9007199254740992", "18446744073709551615",
+                              "-1", "7.5", "1e300"}) {
+      const std::string line = std::string(R"({"id":"q",")") + key + "\":" + value + "}";
+      const ParsedRequest p = parse_request_line(line);
+      EXPECT_FALSE(p.ok) << line;
+      EXPECT_NE(p.error.find(std::string("'") + key + "'"), std::string::npos)
+          << line << " -> " << p.error;
+    }
+  }
+  const ParsedRequest max_seed = parse_request_line(R"({"id":"q","seed":9007199254740991})");
+  ASSERT_TRUE(max_seed.ok) << max_seed.error;
+  EXPECT_EQ(max_seed.request.seed, 9007199254740991ULL);
+  const ParsedRequest zero_seed = parse_request_line(R"({"id":"q","seed":0})");
+  ASSERT_TRUE(zero_seed.ok) << zero_seed.error;
+  EXPECT_EQ(zero_seed.request.seed, 0u);
+  const ParsedRequest wide = parse_request_line(R"({"id":"q","width_nm":4096,"height_nm":8192})");
+  ASSERT_TRUE(wide.ok) << wide.error;
+  EXPECT_EQ(wide.request.width_nm, 4096);
+  EXPECT_EQ(wide.request.height_nm, 8192);
+}
+
+TEST(RequestWire, WrongTypedFieldsAreRejectedNotDefaulted) {
+  // Each of these used to parse with the field at its default, so the
+  // request was served as a different one.
+  const std::pair<const char*, const char*> cases[] = {
+      {"count", R"("5")"},       {"seed", R"("7")"},     {"legalize", R"("no")"},
+      {"rows", "true"},          {"width_nm", R"("9")"}, {"priority", "null"},
+      {"deadline_ms", R"("9")"}, {"no_cache", "1"},      {"style", "10001"},
+      {"schedule", "[]"},        {"source", "{}"},       {"tenant", "false"},
+      {"precision", "null"},     {"polish", R"("1")"}};
+  for (const auto& [key, value] : cases) {
+    const std::string line = std::string(R"({"id":"q",")") + key + "\":" + value + "}";
+    const ParsedRequest p = parse_request_line(line);
+    EXPECT_FALSE(p.ok) << line;
+    EXPECT_NE(p.error.find(std::string("'") + key + "' must be a"), std::string::npos)
+        << line << " -> " << p.error;
+  }
+  const ParsedRequest numeric_id = parse_request_line(R"({"id":7})");
+  EXPECT_FALSE(numeric_id.ok);
+  EXPECT_NE(numeric_id.error.find("'id' must be a string"), std::string::npos) << numeric_id.error;
 }
 
 TEST(RequestWire, ResultJsonCarriesHexLibraryHash) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "agent/tools.h"
+#include "obs/registry.h"
 #include "serve/server.h"
 #include "tests/serve/serve_fixture.h"
 
@@ -73,6 +74,29 @@ TEST_F(ServerTest, PayloadIsIdenticalForOneAndManyWorkers) {
     const auto hashes = replay(server, std::move(reversed));
     EXPECT_EQ(hashes, baseline);
   }
+}
+
+TEST_F(ServerTest, DispatcherRecordsBatchMetrics) {
+#ifdef CP_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out";
+#endif
+  // One serve/batches count and one serve/batch_requests sample per popped
+  // batch, one serve/queue_wait_s sample per batched request.
+  obs::Registry& registry = obs::Registry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  {
+    Server server(sampler_, legalizers(), ServerConfig{});
+    replay(server, {make_request("m1", 21), make_request("m2", 22, "Layer-10003")});
+  }
+  registry.set_enabled(false);
+  const obs::Snapshot snap = registry.snapshot();
+  registry.reset();
+  const long long batches = snap.counters.at("serve/batches");
+  EXPECT_GE(batches, 1);
+  EXPECT_EQ(snap.histograms.at("serve/batch_requests").count, batches);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("serve/batch_requests").sum, 2.0);
+  EXPECT_EQ(snap.histograms.at("serve/queue_wait_s").count, 2);
 }
 
 TEST_F(ServerTest, RepeatedRequestHitsTheCache) {

@@ -1,4 +1,4 @@
-#include "squish/reference.h"
+#include "tests/squish/reference.h"
 
 #include <algorithm>
 #include <stdexcept>

@@ -6,7 +6,8 @@
 // the property suite in tests/squish/topology_property_test.cpp checks every
 // packed grid operation against this class on randomized shapes, and the
 // packed-vs-byte rows of BENCH_denoiser.json measure the packed kernels
-// against these scalar loops. It is not used on any production path.
+// against these scalar loops. It lives under tests/ and is built into the
+// cp_test_oracles library, which no production target links.
 
 #include <cstdint>
 #include <string>

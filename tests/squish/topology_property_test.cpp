@@ -9,8 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "squish/reference.h"
 #include "squish/topology.h"
+#include "tests/squish/reference.h"
 #include "util/rng.h"
 
 namespace cp::squish {
