@@ -1,14 +1,13 @@
 // Ablation: design choices of the CPU sampling stack (DESIGN.md section 4 /
 // substitution S2). Compares, at 128^2:
 //   - cascade (coarse-to-fine) vs single-resolution sampling
-//   - sequential (Gibbs-style) vs factorized within-step sampling
+//   - the cascade's MAP polish on vs off
 //   - mean-matching guidance on vs off
-//   - number of visited timesteps
 // Reported: legality, diversity, density gap to data, seconds per sample.
 //
 // A second section benches the few-step engine: the full K-step reverse
-// chain against every closed-form timestep placement plus a greedily
-// searched schedule, at a <= K/20 visited-step budget, and writes the
+// chain against the noise-uniform placement and a greedily searched
+// schedule, at a <= K/20 visited-step budget, and writes the
 // speedup/equivalence report to BENCH_fast_sampling.json (override with
 // --fast_json FILE).
 
@@ -185,26 +184,16 @@ int main(int argc, char** argv) {
   }
   {
     diffusion::CascadeConfig cc;
-    cc.refine_flip = 0.05;  // stochastic fine refinement enabled
-    diffusion::CascadeSampler cascade(env.chat->schedule(), coarse, fine, cc);
-    rows.push_back(run_config(env, "cascade + stochastic refine", cascade, 0, n, rng, pool.get()));
-  }
-  {
-    diffusion::CascadeConfig cc;
     cc.polish_rounds = 0;
     diffusion::CascadeSampler cascade(env.chat->schedule(), coarse, fine, cc);
     rows.push_back(run_config(env, "cascade, no MAP polish", cascade, 0, n, rng, pool.get()));
   }
   {
-    diffusion::DiffusionSampler flat(env.chat->schedule(), fine, /*sequential=*/true);
+    diffusion::DiffusionSampler flat(env.chat->schedule(), fine);
     rows.push_back(run_config(env, "single-res sequential", flat, 0, n, rng, pool.get()));
   }
   {
-    diffusion::DiffusionSampler flat(env.chat->schedule(), fine, /*sequential=*/false);
-    rows.push_back(run_config(env, "single-res factorized", flat, 0, n, rng, pool.get()));
-  }
-  {
-    diffusion::DiffusionSampler flat(env.chat->schedule(), fine, /*sequential=*/true);
+    diffusion::DiffusionSampler flat(env.chat->schedule(), fine);
     flat.set_guidance(false);
     rows.push_back(run_config(env, "single-res, no guidance", flat, 0, n, rng, pool.get()));
   }
@@ -251,20 +240,16 @@ int main(int argc, char** argv) {
   std::printf(
       "Expected: the cascade variants dominate single-resolution sampling on legality;\n"
       "removing guidance collapses density toward the empty pattern; skipping the MAP\n"
-      "polish locks complexity to the coarse grid (diversity collapses); stochastic\n"
-      "refinement buys complexity diversity at a density-accuracy and runtime cost.\n");
+      "polish locks complexity to the coarse grid (diversity collapses).\n");
 
   // == Few-step engine: full chain vs visited-subset placements ==
-  // Single-resolution sequential sampler, where the per-request budget and
-  // placement are honored exactly (the cascade pins its own tuned budgets).
+  // Single-resolution sampler, where the per-request budget and placement
+  // are honored exactly (the cascade pins its own tuned budgets).
   {
-    // Interior-level budget, well under the K/20 sweep criterion. High-noise
-    // sweeps cost ~2x a low-noise sweep (the sequential pass does more work
-    // where the posterior is uncertain), so placements that linger at high k
-    // (uniform, quadratic) need the smaller budget to clear 10x wall-clock;
-    // 24 matches the cascade's default coarse budget.
+    // Interior-level budget, well under the K/20 sweep criterion; 24
+    // matches the cascade's default coarse budget.
     const int budget = 24;
-    diffusion::DiffusionSampler flat(env.chat->schedule(), fine, /*sequential=*/true);
+    diffusion::DiffusionSampler flat(env.chat->schedule(), fine);
     // Register a searched list so the kSearched row benches its real path
     // instead of the noise-uniform fallback. Held-out probes are small
     // windows of the training clips — the search is a setup cost, not part
@@ -290,8 +275,7 @@ int main(int argc, char** argv) {
                                   diffusion::ScheduleKind::kNoiseUniform, /*steps=*/0, n);
     std::vector<FastRow> fast_rows;
     for (diffusion::ScheduleKind kind :
-         {diffusion::ScheduleKind::kNoiseUniform, diffusion::ScheduleKind::kUniformStride,
-          diffusion::ScheduleKind::kQuadratic, diffusion::ScheduleKind::kSearched}) {
+         {diffusion::ScheduleKind::kNoiseUniform, diffusion::ScheduleKind::kSearched}) {
       FastRow r = run_fast(env, std::string("fast-") + diffusion::to_string(kind), flat, kind,
                            budget, n);
       r.speedup = r.sec_per_sample > 0 ? full.sec_per_sample / r.sec_per_sample : 0.0;

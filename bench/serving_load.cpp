@@ -14,7 +14,7 @@
 //   * fast_mode    — the few-step engine end-to-end through the serving
 //                   layer: the same distinct-content trace once with the
 //                   full K-step reverse chain and once with a few-step
-//                   request (`schedule` + small `steps`), served over the
+//                   request (small `steps`, default placement), served over the
 //                   single-resolution sampler (the cascade pins its own
 //                   tuned step budgets, so it would mask the knob). The
 //                   JSON records the fast-mode throughput multiple.
@@ -22,7 +22,7 @@
 // Results are written to BENCH_serving.json (override with --json FILE).
 // Extra flags on top of bench/common.h: --json FILE, --requests N,
 // --distinct K, --workers N, --rows N, --legalize 0|1, --fast_requests N,
-// --fast_steps N, --fast_schedule KIND.
+// --fast_steps N.
 
 #include <algorithm>
 #include <chrono>
@@ -164,10 +164,9 @@ int main(int argc, char** argv) {
   // Fast-mode: few-step requests end-to-end. Small distinct-content traces
   // (the full chain is ~20x the work per request), identical seeds in both,
   // served over the single-resolution sampler where the per-request
-  // `steps`/`schedule` fields are honored exactly.
+  // `steps` field is honored exactly.
   const long long fast_requests = std::max<long long>(1, flags.get_int("fast_requests", 12));
   const int fast_steps = static_cast<int>(flags.get_int("fast_steps", 24));
-  const std::string fast_schedule = flags.get("fast_schedule", "quadratic");
   const int chain_steps = env.chat->schedule().steps();
   std::vector<serve::GenerationRequest> full_trace, fast_trace;
   for (long long i = 0; i < fast_requests; ++i) {
@@ -177,7 +176,6 @@ int main(int argc, char** argv) {
     full_trace.push_back(r);
     r.id = "fast-" + std::to_string(i);
     r.sample_steps = fast_steps;
-    r.schedule = fast_schedule;
     fast_trace.push_back(std::move(r));
   }
   const diffusion::TopologyGenerator& flat = env.chat->fine_sampler();
@@ -188,9 +186,8 @@ int main(int argc, char** argv) {
               chain_steps);
   const ScenarioResult fast = run_scenario(env, config, fast_trace, &flat);
   std::printf("  fast_mode:       %7.1f req/s  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms"
-              "  (schedule %s, %d steps)\n",
-              fast.throughput_rps, fast.p50_ms, fast.p95_ms, fast.p99_ms,
-              fast_schedule.c_str(), fast_steps);
+              "  (%d steps)\n",
+              fast.throughput_rps, fast.p50_ms, fast.p95_ms, fast.p99_ms, fast_steps);
   const double fast_speedup =
       full.throughput_rps > 0 ? fast.throughput_rps / full.throughput_rps : 0;
   std::printf("  fast-mode speedup: %.2fx\n", fast_speedup);
@@ -208,7 +205,6 @@ int main(int argc, char** argv) {
   report["cache_speedup"] = speedup;
   util::Json fast_mode;
   fast_mode["steps"] = static_cast<long long>(fast_steps);
-  fast_mode["schedule"] = fast_schedule;
   fast_mode["chain_steps"] = static_cast<long long>(chain_steps);
   fast_mode["full_chain"] = to_json(full, full_trace.size());
   fast_mode["fast"] = to_json(fast, fast_trace.size());

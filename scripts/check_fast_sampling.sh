@@ -4,12 +4,13 @@
 # few-step engine stands on, by running the dedicated gtest binaries in a
 # fixed order:
 #
-#   1. bit-identity — the stride-1 / degenerate-budget path of EVERY
-#      ScheduleKind reproduces the original full-chain sampler bit-for-bit
-#      on both denoiser families, and the composed-jump algebra matches the
-#      literal per-step matrix products (fast_sampler_test);
-#   2. statistical equivalence — at a 50-visited-step budget (K/20) each
-#      fast mode keeps density / complexity / diversity within the
+#   1. bit-identity — the stride-1 / degenerate-budget path of both
+#      ScheduleKinds (noise_uniform, searched) reproduces the original
+#      full-chain sampler bit-for-bit on both denoiser families, and the
+#      composed-jump algebra matches the literal per-step matrix products
+#      (fast_sampler_test);
+#   2. statistical equivalence — at a 50-visited-step budget (K/20) both
+#      placements keep density / complexity / diversity within the
 #      documented thresholds of the 1000-step chain (fast_quality_test).
 #
 # The split mirrors how the claims fail: 1 breaking means the algebra or the

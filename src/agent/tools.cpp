@@ -80,7 +80,7 @@ int condition_of(const util::Json& args) {
 }
 
 /// Optional "schedule" argument shared by the sampling tools; empty =
-/// noise-uniform (the legacy placement). Throws on an unknown name.
+/// noise-uniform (the default placement). Throws on an unknown name.
 diffusion::ScheduleKind schedule_of(const util::Json& args) {
   const std::string name = args.get_string("schedule", "");
   if (name.empty()) return diffusion::ScheduleKind::kNoiseUniform;
@@ -112,7 +112,7 @@ ToolRegistry make_standard_tools(GeneratorBackend backend) {
       "Random Topology Generation: samples a new topology matrix with the "
       "conditional diffusion model. Args: style (Layer-10001|Layer-10003), "
       "rows, cols (<= model window), seed, steps, schedule (noise_uniform|"
-      "uniform|quadratic|searched; fast-sampling timestep placement). "
+      "searched; fast-sampling timestep placement). "
       "Returns topology_id and summary statistics; the matrix itself stays "
       "in the store.",
       [shared](const util::Json& args) {
@@ -177,7 +177,8 @@ ToolRegistry make_standard_tools(GeneratorBackend backend) {
       "Topology Extension: grows a topology to a target size with "
       "In-Painting or Out-Painting. Args: topology_id (optional; omit to "
       "grow from a fresh sample), target_rows, target_cols, method (Out|In), "
-      "stride, style, seed, steps, schedule. Returns a new topology_id.",
+      "stride, style, seed, steps, schedule (noise_uniform|searched). Returns "
+      "a new topology_id.",
       [shared](const util::Json& args) {
         ToolResult r;
         const int cond = condition_of(args);
@@ -245,7 +246,8 @@ ToolRegistry make_standard_tools(GeneratorBackend backend) {
       "[left,right) of a topology with the masked reverse process (Eq. 12), "
       "keeping everything else. A time-efficient alternative to discarding a "
       "failed topology. Args: topology_id, upper, left, bottom, right, "
-      "style, seed, steps, schedule. Returns a new topology_id.",
+      "style, seed, steps, schedule (noise_uniform|searched). Returns a new "
+      "topology_id.",
       [shared](const util::Json& args) {
         ToolResult r;
         const int cond = condition_of(args);

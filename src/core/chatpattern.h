@@ -29,7 +29,6 @@ namespace cp::core {
 struct ChatPatternConfig {
   int window = 128;            // model size L
   int diffusion_steps = 1000;  // K (paper value; sampling is strided)
-  int sample_steps = 16;       // visited reverse steps on CPU
   diffusion::CascadeConfig cascade;  // coarse-to-fine sampling parameters
   int train_clips_per_class = 160;
   int draws_per_bucket = 2;    // tabular-denoiser training draws

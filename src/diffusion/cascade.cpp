@@ -14,32 +14,12 @@ CascadeSampler::CascadeSampler(const NoiseSchedule& schedule, const Denoiser& co
 
 squish::Topology CascadeSampler::refine(const squish::Topology& coarse_up,
                                         const squish::Topology& known,
-                                        const squish::Topology& keep_mask, int condition,
-                                        int steps, util::Rng& rng) const {
+                                        const squish::Topology& keep_mask, int condition) const {
   const obs::Span span = obs::trace_scope("refine");
   squish::Topology x = coarse_up;
-
-  if (config_.refine_flip > 0.0) {
-    // Optional stochastic refinement (ablation mode): restart the masked
-    // reverse chain from an intermediate noise level.
-    const NoiseSchedule& schedule = fine_.schedule();
-    const int k_mid = std::max(1, schedule.step_for_flip(config_.refine_flip));
-    squish::Topology init = forward_noise(x, schedule, k_mid, rng);
-    ModifyConfig mc;
-    mc.condition = condition;
-    mc.sample_steps = steps;
-    mc.schedule_kind = config_.schedule_kind;
-    if (keep_mask.empty()) {
-      squish::Topology no_keep(x.rows(), x.cols(), 0);
-      x = modify_from(fine_, x, no_keep, std::move(init), k_mid, mc, rng);
-    } else {
-      x = modify_from(fine_, known, keep_mask, std::move(init), k_mid, mc, rng);
-    }
-  }
-
-  // Deterministic MAP polish: correct upsampling artifacts and speckle
-  // without re-jittering edges. Kept cells are pinned by the mask; as the
-  // final safeguard the kept region is restored exactly.
+  // Correct upsampling artifacts and speckle without re-jittering edges.
+  // Kept cells are pinned by the mask; as the final safeguard the kept
+  // region is restored exactly.
   for (int round = 0; round < config_.polish_rounds; ++round) {
     x = fine_.map_polish(std::move(x), config_.polish_k, condition, keep_mask);
   }
@@ -65,35 +45,17 @@ squish::Topology CascadeSampler::sample(const SampleConfig& config, util::Rng& r
   coarse_cfg.cols = config.cols / config_.factor;
   coarse_cfg.condition = config.condition;
   coarse_cfg.sample_steps = config_.coarse_steps;
-  coarse_cfg.schedule_kind = config_.schedule_kind;
   coarse_cfg.polish_rounds = 0;  // MAP consolidation below replaces it
   squish::Topology coarse = coarse_.sample(coarse_cfg, rng);
   for (int round = 0; round < config_.polish_rounds; ++round) {
     coarse = coarse_.map_polish(std::move(coarse), config_.polish_k, config.condition);
   }
   const squish::Topology up = squish::upsample_nearest(coarse, config_.factor);
-  return refine(up, squish::Topology(), squish::Topology(), config.condition,
-                config_.refine_steps, rng);
-}
-
-void CascadeSampler::set_searched_timesteps(std::vector<int> coarse, std::vector<int> fine) {
-  coarse_.set_searched_timesteps(std::move(coarse));
-  fine_.set_searched_timesteps(std::move(fine));
+  return refine(up, squish::Topology(), squish::Topology(), config.condition);
 }
 
 std::vector<int> CascadeSampler::coarse_timesteps() const {
-  return coarse_.make_timesteps(config_.coarse_steps, config_.schedule_kind);
-}
-
-int CascadeSampler::refine_start_level() const {
-  if (config_.refine_flip <= 0.0) return 0;
-  return std::max(1, fine_.schedule().step_for_flip(config_.refine_flip));
-}
-
-std::vector<int> CascadeSampler::refine_timesteps() const {
-  const int k_mid = refine_start_level();
-  if (k_mid == 0) return {};
-  return fine_.make_timesteps_from(k_mid, config_.refine_steps, config_.schedule_kind);
+  return coarse_.make_timesteps(config_.coarse_steps);
 }
 
 squish::Topology CascadeSampler::modify(const squish::Topology& known,
@@ -119,9 +81,11 @@ squish::Topology CascadeSampler::modify(const squish::Topology& known,
       coarse_keep.set(r, c, all_kept ? 1 : 0);
     }
   }
+  // The cascade's step budget is its own tuned knob: the request's budget
+  // and placement are ignored here.
   ModifyConfig coarse_cfg = config;
   coarse_cfg.sample_steps = config_.coarse_steps;
-  coarse_cfg.schedule_kind = config_.schedule_kind;
+  coarse_cfg.schedule_kind = ScheduleKind::kNoiseUniform;
   squish::Topology coarse = coarse_.modify(coarse_known, coarse_keep, coarse_cfg, rng);
   for (int round = 0; round < config_.polish_rounds / 2; ++round) {
     coarse = coarse_.map_polish(std::move(coarse), config_.polish_k, config.condition,
@@ -134,8 +98,7 @@ squish::Topology CascadeSampler::modify(const squish::Topology& known,
   // upsampled coarse guess into the regenerated region of the init state.
   squish::Topology blended = up;
   blended.assign_where(keep_mask, known);
-  return refine(blended, known, keep_mask, config.condition,
-                std::max(config.sample_steps, config_.refine_steps), rng);
+  return refine(blended, known, keep_mask, config.condition);
 }
 
 }  // namespace cp::diffusion

@@ -8,9 +8,10 @@
 // this problem). The standard remedy is a cascade, as in cascaded diffusion
 // models: (1) run the full reverse chain at 1/factor resolution, where
 // features span only a few cells and the local posterior *is* informative;
-// (2) upsample the coarse topology; (3) forward-noise it to an intermediate
-// level and run the fine-resolution chain down from there, which keeps the
-// global structure and re-synthesises scan-line-accurate detail.
+// (2) upsample the coarse topology; (3) run deterministic MAP polish sweeps
+// at full resolution, which keep the global structure and remove upsampling
+// artifacts and speckle without re-jittering polygon edges. Diversity comes
+// from the coarse stage; both stages use the noise-uniform placement.
 //
 // CascadeSampler implements the TopologyGenerator interface, so extension,
 // the agent tools and the benches are agnostic to which sampler they drive
@@ -23,21 +24,9 @@ namespace cp::diffusion {
 
 struct CascadeConfig {
   int factor = 4;           // resolution ratio between stages
-  /// Stochastic fine-stage refinement: noise level the fine chain restarts
-  /// from after upsampling. 0 disables it (default): stochastic refinement
-  /// re-jitters polygon edges, inflating scan-line complexity well past the
-  /// data's (see bench/ablation_sampler); diversity comes from the coarse
-  /// stage, and the fine stage only needs to clean upsampling artifacts.
-  double refine_flip = 0.0;
-  int refine_steps = 10;    // visited fine-stage timesteps (stochastic mode)
-  int coarse_steps = 24;    // visited coarse-stage timesteps
+  int coarse_steps = 24;    // visited coarse-stage timesteps (noise-uniform)
   int polish_rounds = 6;    // deterministic MAP polish sweeps (fine stage)
   int polish_k = 16;        // noise level the MAP polish assumes
-  /// Visited-subset placement for both stages (timestep_schedule.h). The
-  /// per-request SampleConfig/ModifyConfig kind is deliberately ignored
-  /// here: the cascade's step budgets are its own tuned knobs, and one kind
-  /// keeps the two stages consistent.
-  ScheduleKind schedule_kind = ScheduleKind::kNoiseUniform;
 };
 
 class CascadeSampler : public TopologyGenerator {
@@ -64,26 +53,16 @@ class CascadeSampler : public TopologyGenerator {
   const DiffusionSampler& fine_sampler() const { return fine_; }
   const CascadeConfig& cascade_config() const { return config_; }
 
-  /// Register searched visited lists for the two stages (consulted when
-  /// `schedule_kind` is kSearched; see DiffusionSampler). Pass an empty
-  /// vector to leave a stage on its closed-form fallback.
-  void set_searched_timesteps(std::vector<int> coarse, std::vector<int> fine);
-
-  /// The exact visited-step lists the stages will walk — the coarse chain
-  /// from K and, when stochastic refinement is enabled (refine_flip > 0),
-  /// the fine chain from its restart level. Exposed so tests/golden can pin
-  /// the visited-step logic without sampling.
+  /// The exact visited-step list the coarse chain walks from K. Exposed so
+  /// tests/golden can pin the visited-step logic without sampling.
   std::vector<int> coarse_timesteps() const;
-  std::vector<int> refine_timesteps() const;  // empty when refine_flip == 0
-  /// Restart level of the stochastic refinement stage (0 when disabled).
-  int refine_start_level() const;
 
  private:
-  /// Fine-stage refinement of an upsampled coarse topology, with an optional
-  /// keep mask (empty topology = no mask).
+  /// Fine-stage refinement of an upsampled coarse topology by deterministic
+  /// MAP polish sweeps, with an optional keep mask (empty topology = no
+  /// mask).
   squish::Topology refine(const squish::Topology& coarse_up, const squish::Topology& known,
-                          const squish::Topology& keep_mask, int condition, int steps,
-                          util::Rng& rng) const;
+                          const squish::Topology& keep_mask, int condition) const;
 
   DiffusionSampler coarse_;
   DiffusionSampler fine_;

@@ -31,25 +31,13 @@ std::vector<int> DiffusionSampler::make_timesteps_from(int k_start, int count,
     // No registered list: degrade to the closed-form default rather than
     // failing a serving request.
     obs::count("sampler/searched_fallback");
-    kind = ScheduleKind::kNoiseUniform;
   }
-  return TimestepSchedule::make(*schedule_, kind, k_max, count);
+  return TimestepSchedule::make(*schedule_, k_max, count);
 }
 
 void DiffusionSampler::set_searched_timesteps(std::vector<int> steps) {
   if (!steps.empty()) TimestepSchedule::validate(steps, schedule_->steps());
   searched_ = std::move(steps);
-}
-
-squish::Topology DiffusionSampler::reverse_step(const squish::Topology& xk, int k_from, int k_to,
-                                                int condition, util::Rng& rng) const {
-  if (k_to >= k_from) throw std::invalid_argument("reverse_step: k_to must be < k_from");
-  // Per-step granularity: one span per reverse jump, never per pixel (the
-  // pixel loop is the hot path; see docs/OBSERVABILITY.md "Overhead").
-  const obs::Span span = obs::trace_scope("denoise_step");
-  obs::count("sampler/denoise_steps");
-  return sequential_ ? reverse_step_sequential(xk, k_from, k_to, condition, rng)
-                     : reverse_step_factorized(xk, k_from, k_to, condition, rng);
 }
 
 namespace {
@@ -179,28 +167,13 @@ double DiffusionSampler::guidance_shift(const squish::Topology& xk, int k_from,
   return 0.5 * (lo + hi);
 }
 
-squish::Topology DiffusionSampler::reverse_step_factorized(const squish::Topology& xk,
-                                                           int k_from, int k_to, int condition,
-                                                           util::Rng& rng) const {
-  ProbGrid p0;
-  denoiser_->predict_x0(xk, k_from, condition, p0);
-  const double lambda = guidance_shift(xk, k_from, condition);
-  const double flip_0j = schedule_->cumulative_flip(k_to);
-  const double flip_jk = schedule_->flip_between(k_to, k_from);
-  ReverseKernelMemo kernel(lambda, flip_0j, flip_jk);
-  squish::Topology out(xk.rows(), xk.cols());
-  std::size_t i = 0;
-  for (int r = 0; r < xk.rows(); ++r) {
-    for (int c = 0; c < xk.cols(); ++c, ++i) {
-      out.set(r, c, rng.bernoulli(kernel.p1(xk.at(r, c), p0[i])) ? 1 : 0);
-    }
-  }
-  return out;
-}
-
-squish::Topology DiffusionSampler::reverse_step_sequential(const squish::Topology& xk,
-                                                           int k_from, int k_to, int condition,
-                                                           util::Rng& rng) const {
+squish::Topology DiffusionSampler::reverse_step(const squish::Topology& xk, int k_from, int k_to,
+                                                int condition, util::Rng& rng) const {
+  if (k_to >= k_from) throw std::invalid_argument("reverse_step: k_to must be < k_from");
+  // Per-step granularity: one span per reverse jump, never per pixel (the
+  // pixel loop is the hot path; see docs/OBSERVABILITY.md "Overhead").
+  const obs::Span span = obs::trace_scope("denoise_step");
+  obs::count("sampler/denoise_steps");
   const double flip_0j = schedule_->cumulative_flip(k_to);
   const double flip_jk = schedule_->flip_between(k_to, k_from);
   const double lambda = guidance_shift(xk, k_from, condition);

@@ -42,20 +42,8 @@ struct SampleConfig {
 
 class DiffusionSampler : public TopologyGenerator {
  public:
-  /// `sequential` selects the within-step sampling order. Sequential
-  /// (Gibbs-style) sampling re-queries the denoiser pixel by pixel in a
-  /// serpentine scan as the grid is updated, so already-committed
-  /// neighbours inform later pixels — this is what lets a local-receptive-
-  /// field denoiser nucleate coherent structure (the factorized per-pixel
-  /// draw keeps the exact per-pixel marginals but loses the correlations a
-  /// global denoiser would carry; see DESIGN.md S2). The factorized mode is
-  /// retained for the sampler ablation bench.
-  DiffusionSampler(const NoiseSchedule& schedule, const Denoiser& denoiser,
-                   bool sequential = true)
-      : schedule_(&schedule), denoiser_(&denoiser), sequential_(sequential) {}
-
-  bool sequential() const { return sequential_; }
-  void set_sequential(bool sequential) { sequential_ = sequential; }
+  DiffusionSampler(const NoiseSchedule& schedule, const Denoiser& denoiser)
+      : schedule_(&schedule), denoiser_(&denoiser) {}
 
   /// Mean-matching guidance: when the denoiser reports its training
   /// density, each reverse step applies a uniform logit shift to the p0
@@ -101,7 +89,11 @@ class DiffusionSampler : public TopologyGenerator {
   void set_searched_timesteps(std::vector<int> steps);
   const std::vector<int>& searched_timesteps() const { return searched_; }
 
-  /// One reverse jump x_{k_from} -> x_{k_to} (k_to < k_from).
+  /// One reverse jump x_{k_from} -> x_{k_to} (k_to < k_from), sampled
+  /// sequentially (Gibbs-style): the denoiser is re-queried pixel by pixel
+  /// in a serpentine scan as the grid is updated, so already-committed
+  /// neighbours inform later pixels — this is what lets a local-receptive-
+  /// field denoiser nucleate coherent structure (see DESIGN.md S2).
   squish::Topology reverse_step(const squish::Topology& xk, int k_from, int k_to, int condition,
                                 util::Rng& rng) const;
 
@@ -139,14 +131,8 @@ class DiffusionSampler : public TopologyGenerator {
   const Denoiser& denoiser() const { return *denoiser_; }
 
  private:
-  squish::Topology reverse_step_factorized(const squish::Topology& xk, int k_from, int k_to,
-                                           int condition, util::Rng& rng) const;
-  squish::Topology reverse_step_sequential(const squish::Topology& xk, int k_from, int k_to,
-                                           int condition, util::Rng& rng) const;
-
   const NoiseSchedule* schedule_;
   const Denoiser* denoiser_;
-  bool sequential_ = true;
   bool guidance_ = true;
   std::vector<int> searched_;  // kSearched visited list; empty = unset
 };

@@ -15,8 +15,6 @@ namespace cp::diffusion {
 const char* to_string(ScheduleKind kind) {
   switch (kind) {
     case ScheduleKind::kNoiseUniform: return "noise_uniform";
-    case ScheduleKind::kUniformStride: return "uniform";
-    case ScheduleKind::kQuadratic: return "quadratic";
     case ScheduleKind::kSearched: return "searched";
   }
   return "unknown";
@@ -24,16 +22,13 @@ const char* to_string(ScheduleKind kind) {
 
 ScheduleKind schedule_kind_from_string(const std::string& name) {
   if (name == "noise_uniform") return ScheduleKind::kNoiseUniform;
-  if (name == "uniform") return ScheduleKind::kUniformStride;
-  if (name == "quadratic") return ScheduleKind::kQuadratic;
   if (name == "searched") return ScheduleKind::kSearched;
   throw std::invalid_argument("unknown schedule kind '" + name +
-                              "' (want noise_uniform|uniform|quadratic|searched)");
+                              "' (want noise_uniform|searched)");
 }
 
 bool is_schedule_kind(const std::string& name) {
-  return name == "noise_uniform" || name == "uniform" || name == "quadratic" ||
-         name == "searched";
+  return name == "noise_uniform" || name == "searched";
 }
 
 namespace {
@@ -67,34 +62,13 @@ std::vector<int> make_noise_uniform(const NoiseSchedule& schedule, int k_max, in
   return steps;
 }
 
-std::vector<int> make_fraction_spaced(int k_max, int count, double exponent) {
-  // k_i = round(k_max * ((count - i)/count)^exponent): exponent 1 is the
-  // uniform stride, exponent 2 concentrates visits near k = 0.
-  std::vector<int> steps{k_max};
-  for (int i = 1; i < count; ++i) {
-    const double frac = static_cast<double>(count - i) / count;
-    const int k = static_cast<int>(std::llround(k_max * std::pow(frac, exponent)));
-    if (k >= 1 && k < steps.back()) steps.push_back(k);
-  }
-  finish(steps);
-  return steps;
-}
-
 }  // namespace
 
-std::vector<int> TimestepSchedule::make(const NoiseSchedule& schedule, ScheduleKind kind,
-                                        int k_start, int count) {
+std::vector<int> TimestepSchedule::make(const NoiseSchedule& schedule, int k_start, int count) {
   const int k_max = std::clamp(k_start, 1, schedule.steps());
-  // Degenerate budget: every kind collapses to the exact full chain. This
-  // is the stride-1 == full-chain invariant the goldens anchor on.
+  // Degenerate budget: the exact full chain. This is the stride-1 ==
+  // full-chain invariant the goldens anchor on.
   if (count <= 0 || count >= k_max) return full_list(k_max);
-  switch (kind) {
-    case ScheduleKind::kUniformStride: return make_fraction_spaced(k_max, count, 1.0);
-    case ScheduleKind::kQuadratic: return make_fraction_spaced(k_max, count, 2.0);
-    case ScheduleKind::kNoiseUniform:
-    case ScheduleKind::kSearched:  // no closed form; sampler resolves it
-      return make_noise_uniform(schedule, k_max, count);
-  }
   return make_noise_uniform(schedule, k_max, count);
 }
 
@@ -219,7 +193,7 @@ SearchResult search_timesteps(const NoiseSchedule& schedule, const Denoiser& den
   const int budget = std::clamp(config.budget, 2, K);
   SearchResult result;
   if (budget >= K) {
-    result.timesteps = TimestepSchedule::make(schedule, ScheduleKind::kNoiseUniform, K, 0);
+    result.timesteps = TimestepSchedule::make(schedule, K, 0);
     return result;
   }
   bool have_data = false;
@@ -239,8 +213,8 @@ SearchResult search_timesteps(const NoiseSchedule& schedule, const Denoiser& den
 
   // Candidate insertion grid: a dense noise-uniform list (interior values
   // only) — candidates where the flip probability actually moves.
-  const std::vector<int> grid = TimestepSchedule::make(
-      schedule, ScheduleKind::kNoiseUniform, K, std::min(config.candidate_pool, K - 1));
+  const std::vector<int> grid =
+      TimestepSchedule::make(schedule, K, std::min(config.candidate_pool, K - 1));
   std::vector<int> chosen = {K, 1, 0};
   auto in_chosen = [&](int k) {
     return std::find(chosen.begin(), chosen.end(), k) != chosen.end();

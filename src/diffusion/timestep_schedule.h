@@ -6,22 +6,16 @@
 // transition.h) — striding is *exact* in the transition algebra and only
 // trades model-evaluation density for speed.
 //
-// Four ways to pick the subset:
+// Two ways to pick the subset:
 //   * kNoiseUniform — equal decrements of cumulative flip probability (the
-//     historical default; spends the budget where structure forms).
-//   * kUniformStride — equal decrements of k. Mostly wasted on the paper's
-//     schedule (the chain is fully mixed beyond small k); kept for ablation.
-//   * kQuadratic — k_i proportional to the square of the remaining fraction,
-//     concentrating visits near k = 0 harder than the uniform stride (but
-//     less hard than noise-uniform on the paper's schedule, which mixes
-//     early and so pushes nearly the whole budget below the mixing point).
+//     default; spends the budget where structure forms).
 //   * kSearched — a data-driven list built offline by search_timesteps(),
 //     which greedily inserts the step that most reduces the held-out D3PM
 //     hybrid loss accumulated over the schedule's jumps.
 //
 // Invariant (the regression anchor of every golden): the degenerate budget
 // — count <= 0 or count >= k_start — yields the full list {k_start, ..., 0}
-// for EVERY kind, so "fast sampling at stride 1" is bit-identical to the
+// for both kinds, so "fast sampling at stride 1" is bit-identical to the
 // original full chain. tests/diffusion/fast_sampler_test.cpp locks this in.
 
 #include <string>
@@ -34,28 +28,25 @@ namespace cp::diffusion {
 
 enum class ScheduleKind {
   kNoiseUniform = 0,
-  kUniformStride,
-  kQuadratic,
   kSearched,
 };
 
 const char* to_string(ScheduleKind kind);
 
-/// Parse "noise_uniform" | "uniform" | "quadratic" | "searched" (case
-/// sensitive). Throws std::invalid_argument on anything else.
+/// Parse "noise_uniform" | "searched" (case sensitive). Throws
+/// std::invalid_argument on anything else.
 ScheduleKind schedule_kind_from_string(const std::string& name);
 
 /// True when `name` parses (used by serving-layer request validation).
 bool is_schedule_kind(const std::string& name);
 
 struct TimestepSchedule {
-  /// Build the descending visited list {k_start, ..., 1, 0} with ~`count`
-  /// visited noisy steps. count <= 0 or count >= k_start gives the full
-  /// chain for every kind (the stride-1 invariant). kSearched has no
-  /// closed form and degrades to kNoiseUniform here; DiffusionSampler
-  /// resolves it against its registered searched list first.
-  static std::vector<int> make(const NoiseSchedule& schedule, ScheduleKind kind, int k_start,
-                               int count);
+  /// Build the noise-uniform descending visited list {k_start, ..., 1, 0}
+  /// with ~`count` visited noisy steps. count <= 0 or count >= k_start
+  /// gives the full chain (the stride-1 invariant). kSearched has no closed
+  /// form; DiffusionSampler resolves it against its registered searched
+  /// list and falls back to this list.
+  static std::vector<int> make(const NoiseSchedule& schedule, int k_start, int count);
 
   /// Throws std::invalid_argument unless `steps` is strictly decreasing,
   /// starts at <= k_max, and ends at 0 with at least one noisy step.

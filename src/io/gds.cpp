@@ -1,10 +1,12 @@
 #include "io/gds.h"
 
 #include <cstdint>
-#include <cstring>
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 
 #include "io/gds_records.h"
+#include "io/gds_stream.h"
 #include "util/fault.h"
 #include "util/fs.h"
 #include "util/strings.h"
@@ -13,11 +15,10 @@ namespace cp::io {
 
 namespace {
 
-// Resource-exhaustion guards for the reader: a malicious or corrupt header
-// must not make us over-allocate or loop unboundedly. All caps are orders
-// of magnitude above anything this library writes.
-constexpr std::uint64_t kMaxFileBytes = 256ULL << 20;   // whole-file slurp cap
-constexpr std::size_t kMaxRecords = 1u << 22;           // ~4M records
+// read_gds holds the whole library in memory: a file larger than this is
+// refused before it is read. Orders of magnitude above anything this
+// library writes; stream_gds_structures has no such cap.
+constexpr std::uint64_t kMaxFileBytes = 256ULL << 20;
 
 void put_u16(std::string& out, std::uint16_t v) {
   out.push_back(static_cast<char>(v >> 8));
@@ -114,170 +115,29 @@ void write_gds(const std::string& path, const GdsLibrary& library) {
 
   // Crash-safe: tmp + fsync + rename, with a CRC32 trailer after ENDLIB.
   // Readers (ours and standard viewers) stop at ENDLIB, so the trailer is
-  // invisible to record parsing; read_gds verifies and strips it first.
+  // invisible to record parsing; GdsStreamReader verifies it at the end.
   util::fault::point("gds/write");
   util::atomic_write_file_checksummed(path, out);
 }
 
-namespace {
-
-struct Record {
-  std::uint16_t id = 0;
-  std::uint64_t offset = 0;  // absolute byte offset of the record header
-  std::string payload;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& path) {
-    // Cap the slurp (kMaxFileBytes) and verify our CRC trailer when present
-    // — files from other tools have no trailer and parse as before; a
-    // present-but-mismatching trailer throws a checksum error.
-    data_ = util::read_file(path, kMaxFileBytes);
-    util::strip_crc_trailer(data_, "gds");
-  }
-
-  bool next(Record& record) {
-    if (pos_ + 4 > data_.size()) return false;
-    if (++records_ > kMaxRecords) throw std::runtime_error("gds: too many records");
-    const std::size_t len = (static_cast<unsigned char>(data_[pos_]) << 8) |
-                            static_cast<unsigned char>(data_[pos_ + 1]);
-    record.id = static_cast<std::uint16_t>((static_cast<unsigned char>(data_[pos_ + 2]) << 8) |
-                                           static_cast<unsigned char>(data_[pos_ + 3]));
-    record.offset = pos_;
-    // A declared length below the 4-byte header or past the end of the file
-    // (truncation, or a malicious header promising more than exists) is
-    // structural corruption, never a loop or an over-read.
-    if (len < 4 || len > data_.size() - pos_) {
-      throw std::runtime_error(
-          util::format("gds: corrupt record length %zu at byte %llu (%s)", len,
-                       static_cast<unsigned long long>(pos_),
-                       describe_record(record.id).c_str()));
-    }
-    record.payload.assign(data_.begin() + static_cast<long>(pos_) + 4,
-                          data_.begin() + static_cast<long>(pos_ + len));
-    pos_ += len;
-    return true;
-  }
-
-  /// After ENDLIB: tape-format writers pad to block boundaries with NULs,
-  /// so trailing zeros are fine; any other residue is a torn CRC trailer or
-  /// foreign bytes appended to the stream.
-  void expect_only_padding() const {
-    for (std::size_t i = pos_; i < data_.size(); ++i) {
-      if (data_[i] != '\0') {
-        throw std::runtime_error(util::format(
-            "gds: trailing bytes after ENDLIB at byte %llu",
-            static_cast<unsigned long long>(i)));
-      }
-    }
-  }
-
- private:
-  std::string data_;
-  std::size_t pos_ = 0;
-  std::size_t records_ = 0;
-};
-
-std::int32_t get_i32(const std::string& p, std::size_t i) {
-  return static_cast<std::int32_t>((static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-                                    << 24) |
-                                   (static_cast<unsigned char>(p[i + 1]) << 16) |
-                                   (static_cast<unsigned char>(p[i + 2]) << 8) |
-                                   static_cast<unsigned char>(p[i + 3]));
-}
-
-std::string trim_nul(const std::string& s) {
-  std::string out = s;
-  while (!out.empty() && out.back() == '\0') out.pop_back();
-  return out;
-}
-
-/// "gds: bad UNITS (0x0305) at byte 28" — the shared corrupt-payload error
-/// form; the record name comes from the table both readers use.
-[[noreturn]] void throw_bad_record(const Record& rec, const char* what) {
-  throw std::runtime_error(util::format("gds: %s %s at byte %llu", what,
-                                        describe_record(rec.id).c_str(),
-                                        static_cast<unsigned long long>(rec.offset)));
-}
-
-}  // namespace
-
 GdsLibrary read_gds(const std::string& path) {
   util::fault::point("gds/read");
-  Reader reader(path);
-  GdsLibrary lib;
-  lib.structures.clear();
-  Record rec;
-  GdsStructure* current = nullptr;
-  bool in_boundary = false;
-  int layer = 1, datatype = 0;
-  std::vector<geometry::Point> loop;
-
-  while (reader.next(rec)) {
-    switch (rec.id) {
-      case kRecHeader:
-      case kRecBgnLib:
-      case kRecBgnStr:
-      case kRecEndEl:
-        break;
-      case kRecLibName:
-        lib.name = trim_nul(rec.payload);
-        break;
-      case kRecUnits:
-        if (rec.payload.size() != 16) throw_bad_record(rec, "bad");
-        lib.dbu_per_user_unit =
-            get_real8(reinterpret_cast<const unsigned char*>(rec.payload.data()));
-        lib.dbu_in_meter =
-            get_real8(reinterpret_cast<const unsigned char*>(rec.payload.data()) + 8);
-        break;
-      case kRecStrName:
-        lib.structures.emplace_back();
-        current = &lib.structures.back();
-        current->name = trim_nul(rec.payload);
-        break;
-      case kRecBoundary:
-        in_boundary = true;
-        loop.clear();
-        break;
-      case kRecLayer:
-        if (rec.payload.size() < 2) throw_bad_record(rec, "bad");
-        layer = (static_cast<unsigned char>(rec.payload[0]) << 8) |
-                static_cast<unsigned char>(rec.payload[1]);
-        break;
-      case kRecDatatype:
-        if (rec.payload.size() < 2) throw_bad_record(rec, "bad");
-        datatype = (static_cast<unsigned char>(rec.payload[0]) << 8) |
-                   static_cast<unsigned char>(rec.payload[1]);
-        break;
-      case kRecXy: {
-        if (!in_boundary) break;  // ignore paths etc.
-        loop.clear();
-        for (std::size_t i = 0; i + 8 <= rec.payload.size(); i += 8) {
-          loop.push_back(geometry::Point{get_i32(rec.payload, i), get_i32(rec.payload, i + 4)});
-        }
-        if (current == nullptr) {
-          throw std::runtime_error(util::format(
-              "gds: XY outside a structure at byte %llu",
-              static_cast<unsigned long long>(rec.offset)));
-        }
-        current->layer = layer;
-        current->datatype = datatype;
-        for (const geometry::Rect& r : boundary_to_rects(loop)) current->rects.push_back(r);
-        in_boundary = false;
-        break;
-      }
-      case kRecEndStr:
-        current = nullptr;
-        break;
-      case kRecEndLib:
-        reader.expect_only_padding();
-        return lib;
-      default:
-        throw_bad_record(rec, "unsupported");
-    }
+  // The whole library is resident at once, so cap the file size before
+  // streaming it (a missing file fails in the stream reader instead).
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  if (!ec && bytes > kMaxFileBytes) {
+    throw std::runtime_error(util::format("gds: '%s' is %llu bytes, over the %llu-byte cap",
+                                          path.c_str(), static_cast<unsigned long long>(bytes),
+                                          static_cast<unsigned long long>(kMaxFileBytes)));
   }
-  throw std::runtime_error("gds: missing ENDLIB");
+  GdsLibrary lib;
+  const StreamStats stats = stream_gds_structures(
+      path, [&lib](GdsStructure&& s) { lib.structures.push_back(std::move(s)); });
+  lib.name = stats.library_name;
+  lib.dbu_per_user_unit = stats.dbu_per_user_unit;
+  lib.dbu_in_meter = stats.dbu_in_meter;
+  return lib;
 }
 
 }  // namespace cp::io

@@ -36,11 +36,12 @@ struct GdsLibrary {
 void write_gds(const std::string& path, const GdsLibrary& library);
 
 /// Read a GDSII stream file written by this library or containing
-/// rectilinear BOUNDARY elements. Non-rectilinear polygons and unsupported
-/// record types raise std::runtime_error naming the offending record (the
-/// io/gds_records.h table) and its absolute byte offset. Slurps the whole
-/// file; for bounded-memory ingestion of foreign libraries use
-/// io/gds_stream.h.
+/// rectilinear BOUNDARY elements: collects every structure that
+/// stream_gds_structures (io/gds_stream.h) delivers, plus the library name
+/// and units. Corrupt input, unsupported record types and files over the
+/// 256 MiB cap raise std::runtime_error, naming the offending record and
+/// its absolute byte offset where there is one. Holds the whole library;
+/// for bounded-memory ingestion use stream_gds_structures directly.
 GdsLibrary read_gds(const std::string& path);
 
 }  // namespace cp::io

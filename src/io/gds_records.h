@@ -1,14 +1,12 @@
 #pragma once
-// GDSII record-level vocabulary shared by the whole-file reader (io/gds) and
-// the streaming reader (io/gds_stream): record ids, the id -> name table used
-// in error messages, the 8-byte excess-64 real codec of the UNITS record, and
-// the rectilinear BOUNDARY-loop -> rect decomposition.
+// GDSII record-level vocabulary shared by the writer (io/gds) and the
+// reader (io/gds_stream): record ids, the id -> name table used in error
+// messages, the 8-byte excess-64 real codec of the UNITS record, and the
+// rectilinear BOUNDARY-loop -> rect decomposition.
 //
 // A GDSII stream is a flat sequence of records: a 2-byte big-endian total
 // length (header included), a 2-byte id (record type << 8 | data type), then
-// the payload. Both readers parse exactly this framing; keeping the
-// vocabulary here guarantees their error messages and element handling can
-// never drift apart.
+// the payload. The writer emits and the reader parses exactly this framing.
 
 #include <cstdint>
 #include <string>

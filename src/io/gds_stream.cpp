@@ -12,8 +12,7 @@ namespace cp::io {
 
 namespace {
 
-// Same record-count guard as the whole-file reader: a corrupt stream of
-// minimal 4-byte records must terminate, not spin.
+// A corrupt stream of minimal 4-byte records must terminate, not spin.
 constexpr long long kMaxStreamRecords = 1LL << 22;
 
 std::int32_t get_i32(const std::string& p, std::size_t i) {
@@ -204,7 +203,7 @@ StreamStats stream_gds_structures(const std::string& path,
                    static_cast<unsigned char>(rec.payload[1]);
         break;
       case kRecXy: {
-        if (!in_boundary) break;  // ignore paths etc., like read_gds
+        if (!in_boundary) break;  // ignore paths etc.
         loop.clear();
         for (std::size_t i = 0; i + 8 <= rec.payload.size(); i += 8) {
           loop.push_back(geometry::Point{get_i32(rec.payload, i), get_i32(rec.payload, i + 4)});

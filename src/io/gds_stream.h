@@ -12,11 +12,12 @@
 //     checks that only NUL tape padding remains and verifies the util::fs
 //     CRC32 trailer when one is present, computed incrementally while the
 //     records were being read. Foreign files without a trailer stream
-//     unchecked, exactly like read_gds.
-//   * stream_gds_structures — the element state machine shared in spirit
-//     with read_gds (same io/gds_records.h vocabulary, same BOUNDARY
-//     decomposition): invokes a callback per completed structure and then
-//     drops it, so only one structure is resident at a time.
+//     unchecked.
+//   * stream_gds_structures — the element state machine (io/gds_records.h
+//     vocabulary, BOUNDARY decomposition): invokes a callback per completed
+//     structure and then drops it, so only one structure is resident at a
+//     time. read_gds (io/gds.h) is this function collecting every
+//     structure.
 //
 // Corruption discipline (docs/ROBUSTNESS.md): truncation, garbage record
 // headers, declared lengths past EOF, non-rectilinear boundaries and
@@ -105,10 +106,8 @@ struct StreamStats {
 };
 
 /// Stream every structure of `path` through `on_structure`, holding at most
-/// one structure in memory. Semantics match read_gds exactly (same record
-/// subset, same rect decomposition) — the parity contract tested by
-/// tests/io/gds_stream_test.cpp. Throws std::runtime_error with record name
-/// and byte offset on any corruption.
+/// one structure in memory. Throws std::runtime_error with record name and
+/// byte offset on any corruption.
 StreamStats stream_gds_structures(const std::string& path,
                                   const std::function<void(GdsStructure&&)>& on_structure);
 

@@ -175,151 +175,6 @@ void Sigmoid::infer(const Tensor& x, Tensor& y, Workspace&) const {
   for (std::size_t i = 0; i < x.numel(); ++i) yd[i] = sigmoidf(xd[i]);
 }
 
-namespace {
-
-/// Lower NCHW input to im2col columns: row p = (b*h + r)*w + c holds the
-/// receptive field of output pixel (b, r, c), column k = (ic*kk + kr)*kk + kc
-/// — the flattened weight layout, so the GEMM contraction index runs in the
-/// same order as the legacy loop nest (padding taps contribute exact zeros).
-void im2col(const Tensor& x, int kk, Tensor& cols) {
-  const int n = x.dim(0), in_ch = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int pad = kk / 2;
-  const int cols_k = in_ch * kk * kk;
-  cols.resize(n * h * w, cols_k);
-  float* row = cols.data();
-  for (int b = 0; b < n; ++b) {
-    for (int r = 0; r < h; ++r) {
-      for (int c = 0; c < w; ++c) {
-        for (int ic = 0; ic < in_ch; ++ic) {
-          for (int kr = 0; kr < kk; ++kr) {
-            const int rr = r + kr - pad;
-            for (int kc = 0; kc < kk; ++kc) {
-              const int cc = c + kc - pad;
-              *row++ = (rr >= 0 && rr < h && cc >= 0 && cc < w) ? x.at4(b, ic, rr, cc) : 0.0f;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-/// ymat [P, out_ch] = cols · W^T + b with the same vector/naive dispatch as
-/// Linear, so forward() and infer() hit the identical kernel.
-void conv_matmul(const Tensor& cols, const Param& weight, const Tensor& bias, Workspace& ws,
-                 Tensor& ymat) {
-  const int p = cols.dim(0);
-  const int k = cols.dim(1);
-  const int out_ch = weight.value.dim(0);
-  ymat.resize(p, out_ch);
-  if (out_ch >= gemm::kVecMinOut) {
-    const Tensor& wt = ws.packed_wt(weight);
-    gemm::forward_packed(p, k, out_ch, cols.data(), wt.data(), bias.data(), ymat.data());
-  } else {
-    gemm::forward_naive(p, k, out_ch, cols.data(), weight.value.data(), bias.data(),
-                        ymat.data());
-  }
-}
-
-/// Transpose ymat [P, out_ch] back to NCHW.
-void scatter_nchw(const Tensor& ymat, int n, int out_ch, int h, int w, Tensor& y) {
-  for (int b = 0; b < n; ++b) {
-    for (int r = 0; r < h; ++r) {
-      for (int c = 0; c < w; ++c) {
-        const int p = (b * h + r) * w + c;
-        const float* row = ymat.data() + static_cast<std::size_t>(p) * out_ch;
-        for (int oc = 0; oc < out_ch; ++oc) y.at4(b, oc, r, c) = row[oc];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-Conv2d::Conv2d(int in_channels, int out_channels, int kernel, util::Rng& rng)
-    : in_ch_(in_channels), out_ch_(out_channels), k_(kernel) {
-  if (kernel % 2 == 0) throw std::invalid_argument("Conv2d: kernel must be odd");
-  const float stddev = std::sqrt(2.0f / static_cast<float>(in_channels * kernel * kernel));
-  weight_.value = Tensor::randn({out_channels, in_channels, kernel, kernel}, rng, stddev);
-  weight_.grad = Tensor::zeros({out_channels, in_channels, kernel, kernel});
-  bias_.value = Tensor::zeros({out_channels});
-  bias_.grad = Tensor::zeros({out_channels});
-}
-
-Tensor Conv2d::forward(const Tensor& x) {
-  if (x.rank() != 4 || x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: bad input");
-  input_ = x;
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  Tensor& cols = train_ws_.scratch(0);
-  im2col(x, k_, cols);
-  Tensor& ymat = train_ws_.scratch(1);
-  conv_matmul(cols, weight_, bias_.value, train_ws_, ymat);
-  Tensor y({n, out_ch_, h, w});
-  scatter_nchw(ymat, n, out_ch_, h, w, y);
-  return y;
-}
-
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  const int n = input_.dim(0), h = input_.dim(2), w = input_.dim(3);
-  const int np = n * h * w;
-  const int nk = in_ch_ * k_ * k_;
-  const int pad = k_ / 2;
-  // Re-lower the cached input (cheap next to the GEMMs, and correct even if
-  // another layer's forward ran in between and touched shared scratch).
-  Tensor& cols = train_ws_.scratch(0);
-  im2col(input_, k_, cols);
-  // Gather grad_out into [P, out_ch] to match the im2col row order.
-  Tensor& gmat = train_ws_.scratch(2);
-  gmat.resize(np, out_ch_);
-  for (int b = 0; b < n; ++b) {
-    for (int r = 0; r < h; ++r) {
-      for (int c = 0; c < w; ++c) {
-        const int p = (b * h + r) * w + c;
-        float* row = gmat.data() + static_cast<std::size_t>(p) * out_ch_;
-        for (int oc = 0; oc < out_ch_; ++oc) row[oc] = grad_out.at4(b, oc, r, c);
-      }
-    }
-  }
-  gemm::backward_accum(np, nk, out_ch_, gmat.data(), cols.data(), weight_.grad.data(),
-                       bias_.grad.data());
-  Tensor& dcols = train_ws_.scratch(3);
-  dcols.resize(np, nk);
-  gemm::backward_dx(np, nk, out_ch_, gmat.data(), weight_.value.data(), dcols.data());
-  // col2im: scatter-add the column gradients back onto the input grid.
-  Tensor grad_in({n, in_ch_, h, w});
-  for (int b = 0; b < n; ++b) {
-    for (int r = 0; r < h; ++r) {
-      for (int c = 0; c < w; ++c) {
-        const int p = (b * h + r) * w + c;
-        const float* row = dcols.data() + static_cast<std::size_t>(p) * nk;
-        int k = 0;
-        for (int ic = 0; ic < in_ch_; ++ic) {
-          for (int kr = 0; kr < k_; ++kr) {
-            const int rr = r + kr - pad;
-            for (int kc = 0; kc < k_; ++kc, ++k) {
-              const int cc = c + kc - pad;
-              if (rr < 0 || rr >= h || cc < 0 || cc >= w) continue;
-              grad_in.at4(b, ic, rr, cc) += row[k];
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_in;
-}
-
-void Conv2d::infer(const Tensor& x, Tensor& y, Workspace& ws) const {
-  if (x.rank() != 4 || x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d::infer: bad input");
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  Tensor& cols = ws.scratch(0);
-  im2col(x, k_, cols);
-  Tensor& ymat = ws.scratch(1);
-  conv_matmul(cols, weight_, bias_.value, ws, ymat);
-  y.resize({n, out_ch_, h, w});
-  scatter_nchw(ymat, n, out_ch_, h, w, y);
-}
-
 Tensor Sequential::forward(const Tensor& x) {
   Tensor h = x;
   for (auto& layer : layers_) h = layer->forward(h);
@@ -359,8 +214,8 @@ struct QuantStage {
   gemm::QuantAct act = gemm::QuantAct::kSiluFast;
 };
 
-/// Match (Linear [SiLU|ReLU])* Linear; false on anything else (Conv2d,
-/// Sigmoid heads, bare activations, trailing activations).
+/// Match (Linear [SiLU|ReLU])* Linear; false on anything else (Sigmoid
+/// heads, bare activations, trailing activations).
 bool collect_quant_stages(const Sequential& net, std::vector<QuantStage>* stages) {
   if (stages != nullptr) stages->clear();
   if (net.size() == 0) return false;

@@ -15,8 +15,7 @@
 // preserve the per-element accumulation order of the naive loops.
 //
 // This is all the machinery the MLP denoiser and the autoencoder baselines
-// need; Conv2d is provided for the convolutional variants and tested against
-// finite differences.
+// need.
 
 #include <cstdint>
 #include <deque>
@@ -46,8 +45,6 @@ struct Param {
 /// Caller-owned scratch for the stateless inference path. One workspace per
 /// thread; never shared concurrently. Pools:
 ///  * activation(i): ping-pong output buffers used by Sequential::infer.
-///  * scratch(i):    layer-internal temporaries (im2col columns, matmul
-///                   staging) — valid only within a single infer() call.
 ///  * packed_wt(p):  transposed weight cache for the vector GEMM kernel,
 ///                   invalidated automatically via Param::version.
 ///  * quantized_pack(w, b): int8 weight pack for the quantized path,
@@ -57,7 +54,6 @@ struct Param {
 class Workspace {
  public:
   Tensor& activation(std::size_t i) { return slot(activations_, i); }
-  Tensor& scratch(std::size_t i) { return slot(scratch_, i); }
 
   /// The packed transpose of `p.value` (flattened to 2-D, [in, out]) for
   /// gemm::forward_packed. Re-packed only when `p.version` changes.
@@ -102,7 +98,6 @@ class Workspace {
   };
 
   std::deque<Tensor> activations_;
-  std::deque<Tensor> scratch_;
   std::deque<PackEntry> packs_;
   std::deque<QuantPackEntry> qpacks_;
   std::deque<std::vector<std::int16_t>> qi16_;
@@ -177,26 +172,6 @@ class Sigmoid : public Layer {
 
  private:
   Tensor output_;
-};
-
-/// Same-padded 2-D convolution on NCHW tensors (odd kernel), lowered to the
-/// blocked GEMM via im2col. The flattened weight [out_ch, in_ch*k*k] matches
-/// the im2col column order, so the kernels in nn/gemm.h apply directly.
-class Conv2d : public Layer {
- public:
-  Conv2d(int in_channels, int out_channels, int kernel, util::Rng& rng);
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void infer(const Tensor& x, Tensor& y, Workspace& ws) const override;
-  std::vector<Param*> params() override { return {&weight_, &bias_}; }
-  const char* name() const override { return "Conv2d"; }
-
- private:
-  int in_ch_, out_ch_, k_;
-  Param weight_;  // [out, in, k, k]
-  Param bias_;    // [out]
-  Tensor input_;
-  Workspace train_ws_;  // training-path scratch: im2col columns reused by backward
 };
 
 /// A simple sequential container.

@@ -124,8 +124,7 @@ std::string validate(const GenerationRequest& r) {
   if (r.sample_steps <= 0) return "'steps' must be positive";
   if (r.polish_rounds < 0) return "'polish' must be >= 0";
   if (!r.schedule.empty() && !diffusion::is_schedule_kind(r.schedule)) {
-    return "unknown 'schedule' '" + r.schedule +
-           "' (want noise_uniform|uniform|quadratic|searched)";
+    return "unknown 'schedule' '" + r.schedule + "' (want noise_uniform|searched)";
   }
   if (r.width_nm <= 0 || r.height_nm <= 0) return "'width_nm'/'height_nm' must be positive";
   if (r.deadline_ms < 0) return "'deadline_ms' must be >= 0";

@@ -54,10 +54,10 @@ struct GenerationRequest {
   int sample_steps = 16;
   int polish_rounds = 2;
   /// Visited-timestep placement for fast sampling (diffusion/
-  /// timestep_schedule.h): "noise_uniform" | "uniform" | "quadratic" |
-  /// "searched". Empty = the server's ServerConfig::default_schedule. A
-  /// content field: two requests differing only here can legitimately
-  /// deliver different payloads, so it is hashed and batch-keyed.
+  /// timestep_schedule.h): "noise_uniform" | "searched". Empty = noise-
+  /// uniform. A content field: two requests differing only here can
+  /// legitimately deliver different payloads, so it is hashed and
+  /// batch-keyed.
   std::string schedule;
   geometry::Coord width_nm = 2048, height_nm = 2048;
   std::uint64_t seed = 1;
@@ -101,7 +101,7 @@ struct BatchKey {
   int rows = 0, cols = 0;
   int sample_steps = 0;
   int polish_rounds = 0;
-  std::string schedule;  // raw request field; "" = server default
+  std::string schedule;  // raw request field; "" = noise-uniform
   bool operator==(const BatchKey&) const = default;
 };
 

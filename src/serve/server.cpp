@@ -17,15 +17,13 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-diffusion::SampleConfig sample_config(const GenerationRequest& r, int condition,
-                                      diffusion::ScheduleKind default_schedule) {
+diffusion::SampleConfig sample_config(const GenerationRequest& r, int condition) {
   diffusion::SampleConfig sc;
   sc.rows = r.rows;
   sc.cols = r.cols;
   sc.condition = condition;
   sc.sample_steps = r.sample_steps;
-  sc.schedule_kind =
-      r.schedule.empty() ? default_schedule : diffusion::schedule_kind_from_string(r.schedule);
+  if (!r.schedule.empty()) sc.schedule_kind = diffusion::schedule_kind_from_string(r.schedule);
   sc.polish_rounds = r.polish_rounds;
   return sc;
 }
@@ -376,8 +374,7 @@ void Server::execute_batch(std::vector<PendingRequest> batch) {
       ranges.push_back({i, jobs.size(), want});
       const util::Rng root(r.seed);
       for (long long k = 0; k < want; ++k) {
-        jobs.push_back({sample_config(r, a.pending.condition, config_.default_schedule), root,
-                        a.next_stream + k});
+        jobs.push_back({sample_config(r, a.pending.condition), root, a.next_stream + k});
       }
       ++a.rounds;
     }

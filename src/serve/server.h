@@ -60,7 +60,9 @@ struct BatchPolicy {
 };
 
 struct ServerConfig {
-  /// Fan-out width. 1 = fully serial (no pool) — the determinism baseline.
+  /// Fan-out width: the number of threads a batch computes on, the
+  /// dispatcher included (util::ThreadPool counts compute threads). 1 =
+  /// fully serial (no pool) — the determinism baseline.
   int workers = 1;
   std::size_t queue_capacity = 64;
   std::size_t cache_entries = 256;     // 0 disables the result cache
@@ -70,15 +72,6 @@ struct ServerConfig {
   /// `max_attempts_per_pattern * count + 64` sampled topologies before it
   /// completes as kIncomplete with whatever it has.
   long long max_attempts_per_pattern = 16;
-
-  /// Fast-sampling default (diffusion/timestep_schedule.h): the visited-
-  /// timestep placement applied to requests whose `schedule` field is
-  /// empty. Lets an operator flip the whole server to few-step mode
-  /// (e.g. kQuadratic) without touching clients; individual requests
-  /// still override it per call. kSearched requires the generator's
-  /// samplers to carry a registered searched list, else they fall back to
-  /// noise-uniform.
-  diffusion::ScheduleKind default_schedule = diffusion::ScheduleKind::kNoiseUniform;
 
   /// Degraded-mode serving (docs/ROBUSTNESS.md). A sample that throws
   /// (fault point `denoiser/infer`, or a real inference failure) is retried

@@ -36,9 +36,10 @@ namespace cp::util {
 
 class ThreadPool {
  public:
-  /// `threads` <= 0 selects hardware_threads(). A pool of size 1 still has
-  /// one worker thread (submit() is asynchronous); use parallel_for for
-  /// inline single-thread execution.
+  /// `threads` <= 0 selects hardware_threads(). `threads` counts compute
+  /// threads: parallel_for runs on at most size() threads, the calling
+  /// thread included. A pool of size 1 still has one worker thread
+  /// (submit() is asynchronous), but its parallel_for runs inline.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 
@@ -59,9 +60,10 @@ class ThreadPool {
     return future;
   }
 
-  /// Run fn(i) for every i in [0, n). The calling thread participates, so
-  /// this is safe to call from inside a pool task (nested parallelism) and
-  /// degenerates to a plain loop when the pool has no spare workers. If any
+  /// Run fn(i) for every i in [0, n) on at most size() threads. The calling
+  /// thread participates, so this is safe to call from inside a pool task
+  /// (nested parallelism) and degenerates to a plain loop when the pool has
+  /// no spare workers. If any
   /// invocation throws, the exception thrown by the lowest index is
   /// rethrown after all indices finish or are abandoned.
   template <typename F>
@@ -85,9 +87,10 @@ class ThreadPool {
         state->finish_one();
       }
     };
-    // One driver task per worker; the caller is the final driver. Extra
-    // drivers that wake after the counter is exhausted exit immediately.
-    const int drivers = static_cast<int>(std::min<long long>(size(), n - 1));
+    // The caller is one driver, so at most size() - 1 workers join it and
+    // the loop runs on at most size() threads. Extra drivers that wake
+    // after the counter is exhausted exit immediately.
+    const int drivers = static_cast<int>(std::min<long long>(size() - 1, n - 1));
     for (int t = 0; t < drivers; ++t) enqueue(drive);
     drive();
     state->wait_all();

@@ -57,6 +57,21 @@ TEST_F(ToolsTest, GenerationUnknownStyleFails) {
   EXPECT_FALSE(r.ok);
 }
 
+TEST_F(ToolsTest, GenerationRejectsUnknownSchedule) {
+  // An unknown placement name is reported as an error result, not thrown
+  // through the agent loop.
+  util::Json args;
+  args["style"] = "Layer-10001";
+  args["rows"] = 16;
+  args["cols"] = 16;
+  args["steps"] = 4;
+  args["schedule"] = "quadratic";
+  ToolResult r;
+  EXPECT_NO_THROW(r = tools_.call("topology_generation", args));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.payload.get_string("error", "").find("quadratic"), std::string::npos);
+}
+
 TEST_F(ToolsTest, LegalizationSuccessStoresPattern) {
   util::Json gen;
   gen["style"] = "Layer-10001";

@@ -175,52 +175,45 @@ TEST(FastSamplerTest, ComposedJumpsMatchScheduleAndValidate) {
 
 // ---- TimestepSchedule construction --------------------------------------
 
-TEST(FastSamplerTest, AllKindsShareShapeInvariants) {
+TEST(FastSamplerTest, NoiseUniformListShapeInvariants) {
   const NoiseSchedule s{ScheduleConfig{}};
-  for (ScheduleKind kind : {ScheduleKind::kNoiseUniform, ScheduleKind::kUniformStride,
-                            ScheduleKind::kQuadratic, ScheduleKind::kSearched}) {
-    for (int count : {2, 5, 16, 50}) {
-      const auto steps = TimestepSchedule::make(s, kind, s.steps(), count);
-      ASSERT_GE(steps.size(), 3u) << to_string(kind);
-      EXPECT_EQ(steps.front(), s.steps()) << to_string(kind);
-      EXPECT_EQ(steps[steps.size() - 2], 1) << to_string(kind);
-      EXPECT_EQ(steps.back(), 0) << to_string(kind);
-      for (std::size_t i = 1; i < steps.size(); ++i) {
-        ASSERT_LT(steps[i], steps[i - 1]) << to_string(kind) << " count=" << count;
-      }
-      EXPECT_NO_THROW(TimestepSchedule::validate(steps, s.steps()));
-      // The budget is honoured approximately (list construction may merge
-      // adjacent targets) and never exceeded by more than the forced {1, 0}
-      // tail.
-      EXPECT_LE(static_cast<int>(steps.size()), count + 2) << to_string(kind);
+  for (int count : {2, 5, 16, 50}) {
+    const auto steps = TimestepSchedule::make(s, s.steps(), count);
+    ASSERT_GE(steps.size(), 3u) << "count=" << count;
+    EXPECT_EQ(steps.front(), s.steps());
+    EXPECT_EQ(steps[steps.size() - 2], 1);
+    EXPECT_EQ(steps.back(), 0);
+    for (std::size_t i = 1; i < steps.size(); ++i) {
+      ASSERT_LT(steps[i], steps[i - 1]) << "count=" << count;
     }
+    EXPECT_NO_THROW(TimestepSchedule::validate(steps, s.steps()));
+    // The budget is honoured approximately (list construction may merge
+    // adjacent targets) and never exceeded by more than the forced {1, 0}
+    // tail.
+    EXPECT_LE(static_cast<int>(steps.size()), count + 2);
   }
 }
 
-TEST(FastSamplerTest, DegenerateBudgetYieldsFullChainForEveryKind) {
-  // THE stride-1 invariant: count <= 0 or >= k_start collapses every kind to
-  // the identical full list, so "fast sampling, stride 1" IS the original
-  // chain.
+TEST(FastSamplerTest, DegenerateBudgetYieldsFullChain) {
+  // THE stride-1 invariant: count <= 0 or >= k_start collapses to the full
+  // list, so "fast sampling, stride 1" IS the original chain.
   const NoiseSchedule s{ScheduleConfig{64, 0.01, 0.5}};
   std::vector<int> full;
   for (int k = 64; k >= 0; --k) full.push_back(k);
-  for (ScheduleKind kind : {ScheduleKind::kNoiseUniform, ScheduleKind::kUniformStride,
-                            ScheduleKind::kQuadratic, ScheduleKind::kSearched}) {
-    for (int count : {0, -3, 64, 65, 1000}) {
-      EXPECT_EQ(TimestepSchedule::make(s, kind, 64, count), full)
-          << to_string(kind) << " count=" << count;
-    }
+  for (int count : {0, -3, 64, 65, 1000}) {
+    EXPECT_EQ(TimestepSchedule::make(s, 64, count), full) << "count=" << count;
   }
 }
 
 TEST(FastSamplerTest, KindStringsRoundTrip) {
-  for (ScheduleKind kind : {ScheduleKind::kNoiseUniform, ScheduleKind::kUniformStride,
-                            ScheduleKind::kQuadratic, ScheduleKind::kSearched}) {
+  for (ScheduleKind kind : {ScheduleKind::kNoiseUniform, ScheduleKind::kSearched}) {
     EXPECT_TRUE(is_schedule_kind(to_string(kind)));
     EXPECT_EQ(schedule_kind_from_string(to_string(kind)), kind);
   }
-  EXPECT_FALSE(is_schedule_kind("ddim"));
-  EXPECT_THROW(schedule_kind_from_string("ddim"), std::invalid_argument);
+  for (const char* name : {"ddim", "uniform", "quadratic", ""}) {
+    EXPECT_FALSE(is_schedule_kind(name)) << name;
+    EXPECT_THROW(schedule_kind_from_string(name), std::invalid_argument) << name;
+  }
 }
 
 TEST(FastSamplerTest, ValidateRejectsMalformedLists) {
@@ -295,10 +288,12 @@ TEST_F(FastSamplerFixture, SearchedListIsRestrictedToPartialChains) {
 }
 
 TEST_F(FastSamplerFixture, Stride1BitIdenticalAcrossKindsTabular) {
-  // sample_steps = 0 (and = K) are degenerate budgets: every kind must walk
+  // sample_steps = 0 (and = K) are degenerate budgets: both kinds must walk
   // the identical full chain and consume the identical Rng stream, making
   // the outputs bit-equal — the regression anchor for the existing goldens.
-  const DiffusionSampler s(schedule_, denoiser_);
+  // A registered searched list must not change that.
+  DiffusionSampler s(schedule_, denoiser_);
+  s.set_searched_timesteps({1000, 600, 300, 100, 20, 1, 0});
   SampleConfig base;
   base.rows = 24;
   base.cols = 16;
@@ -306,16 +301,13 @@ TEST_F(FastSamplerFixture, Stride1BitIdenticalAcrossKindsTabular) {
   base.polish_rounds = 1;
   util::Rng ref_rng(11);
   const squish::Topology ref = s.sample(base, ref_rng);
-  for (ScheduleKind kind : {ScheduleKind::kUniformStride, ScheduleKind::kQuadratic,
-                            ScheduleKind::kSearched}) {
-    SampleConfig cfg = base;
-    cfg.schedule_kind = kind;
-    util::Rng rng(11);
-    EXPECT_EQ(s.sample(cfg, rng), ref) << to_string(kind) << " steps=0";
-    cfg.sample_steps = schedule_.steps();
-    util::Rng rng2(11);
-    EXPECT_EQ(s.sample(cfg, rng2), ref) << to_string(kind) << " steps=K";
-  }
+  SampleConfig cfg = base;
+  cfg.schedule_kind = ScheduleKind::kSearched;
+  util::Rng rng(11);
+  EXPECT_EQ(s.sample(cfg, rng), ref) << "steps=0";
+  cfg.sample_steps = schedule_.steps();
+  util::Rng rng2(11);
+  EXPECT_EQ(s.sample(cfg, rng2), ref) << "steps=K";
 }
 
 TEST_F(FastSamplerFixture, Stride1BitIdenticalAcrossKindsMlp) {
@@ -329,34 +321,23 @@ TEST_F(FastSamplerFixture, Stride1BitIdenticalAcrossKindsMlp) {
   base.polish_rounds = 1;
   util::Rng ref_rng(21);
   const squish::Topology ref = s.sample(base, ref_rng);
-  for (ScheduleKind kind : {ScheduleKind::kUniformStride, ScheduleKind::kQuadratic,
-                            ScheduleKind::kSearched}) {
-    SampleConfig cfg = base;
-    cfg.schedule_kind = kind;
-    cfg.sample_steps = 0;
-    util::Rng rng(21);
-    EXPECT_EQ(s.sample(cfg, rng), ref) << to_string(kind);
-  }
+  SampleConfig cfg = base;
+  cfg.schedule_kind = ScheduleKind::kSearched;
+  util::Rng rng(21);
+  EXPECT_EQ(s.sample(cfg, rng), ref);
 }
 
-TEST_F(FastSamplerFixture, FewStepKindsProduceValidDistinctChains) {
+TEST_F(FastSamplerFixture, FewStepNoiseUniformSpendsBudgetBelowMixing) {
+  // On the paper's schedule the chain is fully mixed beyond small k, so the
+  // noise-uniform placement jumps from K straight to a low level and spends
+  // the rest of its budget there.
   const DiffusionSampler s(schedule_, denoiser_);
   const auto nu = s.make_timesteps(50, ScheduleKind::kNoiseUniform);
-  const auto us = s.make_timesteps(50, ScheduleKind::kUniformStride);
-  const auto qd = s.make_timesteps(50, ScheduleKind::kQuadratic);
-  // Same budget, genuinely different placements (else the knob is dead).
-  EXPECT_NE(nu, us);
-  EXPECT_NE(nu, qd);
-  EXPECT_NE(us, qd);
-  // Uniform stride really is (near-)uniform in k.
-  for (std::size_t i = 0; i + 2 < us.size(); ++i) {
-    EXPECT_NEAR(us[i] - us[i + 1], 1000 / 50, 2) << "jump " << i;
-  }
-  // Low-k concentration ordering on the paper's schedule: noise-uniform
-  // spends nearly the whole budget below the mixing point, the uniform
-  // stride spends almost nothing there, quadratic sits between them.
-  EXPECT_LT(qd[1], us[1]);
-  EXPECT_GT(qd[1], nu[1]);
+  EXPECT_NE(nu, s.make_timesteps(0, ScheduleKind::kNoiseUniform));
+  EXPECT_LE(nu.size(), 52u);
+  ASSERT_GE(nu.size(), 3u);
+  EXPECT_EQ(nu[0], schedule_.steps());
+  EXPECT_LT(nu[1], schedule_.steps() / 10);
 }
 
 TEST_F(FastSamplerFixture, GreedySearchImprovesHeldOutJumpLoss) {

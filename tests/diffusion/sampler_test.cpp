@@ -121,18 +121,6 @@ TEST_F(SamplerTest, SampleFromRequiresDescendingToZero) {
   EXPECT_THROW(s.sample_from(x, {0}, 0, rng), std::invalid_argument);
 }
 
-TEST_F(SamplerTest, FactorizedModeAlsoWorks) {
-  DiffusionSampler s(schedule_, denoiser_, /*sequential=*/false);
-  EXPECT_FALSE(s.sequential());
-  SampleConfig cfg;
-  cfg.rows = 16;
-  cfg.cols = 16;
-  cfg.sample_steps = 8;
-  util::Rng rng(2);
-  const squish::Topology t = s.sample(cfg, rng);
-  EXPECT_EQ(t.rows(), 16);
-}
-
 TEST_F(SamplerTest, GuidanceKeepsDensityOnTarget) {
   // With guidance off, the weak local model drifts away from the data
   // density; with guidance on it must stay close.

@@ -1,10 +1,9 @@
-// Golden pinning of the few-step visited-timestep logic: the exact lists
-// TimestepSchedule::make builds for every kind x budget, and the lists the
-// CascadeSampler stages will walk (coarse chain, stochastic-refinement
-// restart level and chain). Any change to the placement math — however
-// subtle — shows up here as a readable diff instead of as a silent quality
-// regression three benches later. Regenerate intentionally with
-// CP_UPDATE_GOLDEN=1 (see golden_compare.h).
+// Golden pinning of the few-step visited-timestep logic: the exact
+// noise-uniform lists TimestepSchedule::make builds for every budget, and
+// the list the CascadeSampler's coarse stage walks. Any change to the
+// placement math — however subtle — shows up here as a readable diff
+// instead of as a silent quality regression three benches later.
+// Regenerate intentionally with CP_UPDATE_GOLDEN=1 (see golden_compare.h).
 
 #include <gtest/gtest.h>
 
@@ -20,31 +19,25 @@
 namespace cp {
 namespace {
 
-using diffusion::ScheduleKind;
-
 void dump_steps(std::ostream& os, const std::string& label, const std::vector<int>& steps) {
   os << label << " (" << steps.size() << ") =";
   for (int k : steps) os << " " << k;
   os << "\n";
 }
 
-TEST(FastScheduleGoldenTest, TimestepPlacementAllKinds) {
+TEST(FastScheduleGoldenTest, TimestepPlacement) {
   std::stringstream ss;
   for (const auto& [name, cfg] :
        {std::pair<const char*, diffusion::ScheduleConfig>{"K100", {100, 0.01, 0.5}},
         std::pair<const char*, diffusion::ScheduleConfig>{"K1000-paper", {1000, 0.01, 0.5}}}) {
     const diffusion::NoiseSchedule s{cfg};
     ss << "== schedule " << name << " ==\n";
-    for (ScheduleKind kind : {ScheduleKind::kNoiseUniform, ScheduleKind::kUniformStride,
-                              ScheduleKind::kQuadratic}) {
-      for (int budget : {4, 10, 24}) {
-        dump_steps(ss, std::string(to_string(kind)) + " budget=" + std::to_string(budget),
-                   diffusion::TimestepSchedule::make(s, kind, s.steps(), budget));
-      }
-      // Partial chain, as the cascade refinement and modify_from use it.
-      dump_steps(ss, std::string(to_string(kind)) + " from=40 budget=6",
-                 diffusion::TimestepSchedule::make(s, kind, 40, 6));
+    for (int budget : {4, 10, 24}) {
+      dump_steps(ss, "noise_uniform budget=" + std::to_string(budget),
+                 diffusion::TimestepSchedule::make(s, s.steps(), budget));
     }
+    // Partial chain, as modify_from uses it.
+    dump_steps(ss, "noise_uniform from=40 budget=6", diffusion::TimestepSchedule::make(s, 40, 6));
     ss << "\n";
   }
   golden_compare("fast_schedules.txt", ss.str());
@@ -59,29 +52,11 @@ TEST(FastScheduleGoldenTest, CascadeVisitedSteps) {
   const diffusion::TabularDenoiser coarse(s, tcfg);
   const diffusion::TabularDenoiser fine(s, tcfg);
 
+  const diffusion::CascadeSampler cascade(s, coarse, fine, diffusion::CascadeConfig{});
   std::stringstream ss;
-  auto dump_cascade = [&](const char* name, const diffusion::CascadeConfig& cfg) {
-    const diffusion::CascadeSampler cascade(s, coarse, fine, cfg);
-    ss << "== " << name << " ==\n";
-    ss << "schedule_kind = " << to_string(cfg.schedule_kind) << "\n";
-    dump_steps(ss, "coarse", cascade.coarse_timesteps());
-    ss << "refine_start_level = " << cascade.refine_start_level() << "\n";
-    dump_steps(ss, "refine", cascade.refine_timesteps());
-    ss << "\n";
-  };
-
-  dump_cascade("defaults", diffusion::CascadeConfig{});
-
-  diffusion::CascadeConfig stochastic;
-  stochastic.refine_flip = 0.15;
-  dump_cascade("stochastic-refine", stochastic);
-
-  for (ScheduleKind kind : {ScheduleKind::kUniformStride, ScheduleKind::kQuadratic}) {
-    diffusion::CascadeConfig cfg;
-    cfg.refine_flip = 0.15;
-    cfg.schedule_kind = kind;
-    dump_cascade((std::string("stochastic-refine-") + to_string(kind)).c_str(), cfg);
-  }
+  ss << "== defaults ==\n";
+  dump_steps(ss, "coarse", cascade.coarse_timesteps());
+  ss << "\n";
   golden_compare("cascade_visited_steps.txt", ss.str());
 }
 

@@ -58,14 +58,6 @@ TEST(InferTest, Activations) {
   check_infer_matches_forward(sigmoid, x, "Sigmoid");
 }
 
-TEST(InferTest, Conv2d) {
-  util::Rng rng(24);
-  Conv2d conv(2, 9, 3, rng);
-  check_infer_matches_forward(conv, Tensor::randn({2, 2, 6, 7}, rng), "Conv2d(2,9,3)");
-  Conv2d small(3, 4, 5, rng);  // out_ch < kVecMinOut
-  check_infer_matches_forward(small, Tensor::randn({1, 3, 8, 5}, rng), "Conv2d(3,4,5)");
-}
-
 Sequential make_mlp(util::Rng& rng) {
   Sequential net;
   net.add(std::make_unique<Linear>(23, 64, rng));
@@ -149,9 +141,11 @@ TEST(InferTest, QuantizableMatchesTheLinearActivationPattern) {
   Sequential trailing_act = make_mlp(rng);
   trailing_act.add(std::make_unique<Sigmoid>());
   EXPECT_FALSE(trailing_act.quantizable());
-  Sequential conv_net;
-  conv_net.add(std::make_unique<Conv2d>(2, 8, 3, rng));
-  EXPECT_FALSE(conv_net.quantizable());
+  Sequential sigmoid_mid;
+  sigmoid_mid.add(std::make_unique<Linear>(8, 16, rng));
+  sigmoid_mid.add(std::make_unique<Sigmoid>());
+  sigmoid_mid.add(std::make_unique<Linear>(16, 2, rng));
+  EXPECT_FALSE(sigmoid_mid.quantizable());
 }
 
 TEST(InferTest, InferQuantizedTracksInferWithinTolerance) {

@@ -83,27 +83,6 @@ TEST(LayersTest, SigmoidGradients) {
   check_gradients(layer, Tensor::randn({2, 6}, rng));
 }
 
-TEST(LayersTest, Conv2dGradients) {
-  util::Rng rng(5);
-  Conv2d layer(2, 3, 3, rng);
-  check_gradients(layer, Tensor::randn({1, 2, 4, 4}, rng), 5e-2f);
-}
-
-TEST(LayersTest, Conv2dPreservesSpatialDims) {
-  util::Rng rng(6);
-  Conv2d layer(1, 4, 5, rng);
-  const Tensor y = layer.forward(Tensor::randn({2, 1, 7, 9}, rng));
-  EXPECT_EQ(y.dim(0), 2);
-  EXPECT_EQ(y.dim(1), 4);
-  EXPECT_EQ(y.dim(2), 7);
-  EXPECT_EQ(y.dim(3), 9);
-}
-
-TEST(LayersTest, Conv2dEvenKernelThrows) {
-  util::Rng rng(6);
-  EXPECT_THROW(Conv2d(1, 1, 4, rng), std::invalid_argument);
-}
-
 TEST(LayersTest, SequentialComposesAndBackprops) {
   util::Rng rng(7);
   Sequential net;

@@ -72,6 +72,11 @@ TEST(RequestWire, ValidationCatchesBadFields) {
   EXPECT_FALSE(parse_request_line(R"({"id":"x","count":0})").ok);
   EXPECT_FALSE(parse_request_line(R"({"id":"x","rows":-4})").ok);
   EXPECT_FALSE(parse_request_line(R"({"id":"x","steps":0})").ok);
+  // Only the noise-uniform and searched placements exist.
+  EXPECT_FALSE(parse_request_line(R"({"id":"x","schedule":"uniform"})").ok);
+  EXPECT_FALSE(parse_request_line(R"({"id":"x","schedule":"quadratic"})").ok);
+  EXPECT_TRUE(parse_request_line(R"({"id":"x","schedule":"noise_uniform"})").ok);
+  EXPECT_TRUE(parse_request_line(R"({"id":"x","schedule":"searched"})").ok);
 }
 
 TEST(RequestHash, CoversContentFieldsOnly) {

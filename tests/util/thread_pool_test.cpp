@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace cp::util {
@@ -43,6 +46,20 @@ TEST(ThreadPoolTest, ParallelForZeroAndOne) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsOnAtMostPoolSizeThreads) {
+  // A pool of N counts compute threads: the caller plus N - 1 workers. The
+  // indices last long enough that every enqueued driver gets to claim some.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  pool.parallel_for(64, [&](long long) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_LE(ids.size(), 2u);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesFromSubmit) {
