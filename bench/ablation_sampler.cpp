@@ -37,16 +37,17 @@ struct Row {
 
 Row run_config(const bench::Env& env, const char* name,
                const diffusion::TopologyGenerator& gen, int style, long long n,
-               util::Rng& rng, util::ThreadPool* pool) {
+               std::uint64_t seed, util::ThreadPool* pool) {
   diffusion::SampleConfig sc;
   sc.condition = style;
   sc.sample_steps = 16;  // the CPU default; 0 would run the full K-step chain
   const diffusion::BatchSampler batch(gen, pool);
   const auto t0 = std::chrono::steady_clock::now();
-  // One fork(i) stream per sample: the row is reproducible from the bench
-  // seed alone and identical for any --threads value.
+  // One fork(i) stream per sample of a row-owned root: the row is
+  // reproducible from its seed alone, identical for any --threads value,
+  // and independent of the rows before it.
   const std::vector<squish::Topology> topos =
-      batch.sample_batch(sc, static_cast<int>(n), rng.fork());
+      batch.sample_batch(sc, static_cast<int>(n), util::Rng(seed));
   const double sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() /
       static_cast<double>(n);
@@ -142,7 +143,10 @@ util::Json fast_row_json(const FastRow& r) {
 int main(int argc, char** argv) {
   bench::Env env = bench::make_env(argc, argv, /*default_samples=*/24);
   const long long n = env.samples;
-  util::Rng rng(env.seed + 6000);
+  // Every row samples from the same fixed seed, like the few-step section
+  // below: the comparison is paired, and adding or removing a row moves no
+  // other row.
+  const std::uint64_t row_seed = env.seed + 6000;
   util::CliFlags flags(argc, argv);
   // --threads N fans each row's batch across a pool (output unchanged).
   const int threads = static_cast<int>(flags.get_int("threads", 1));
@@ -180,22 +184,22 @@ int main(int argc, char** argv) {
   {
     diffusion::CascadeSampler cascade(env.chat->schedule(), coarse, fine,
                                       diffusion::CascadeConfig{});
-    rows.push_back(run_config(env, "cascade (default)", cascade, 0, n, rng, pool.get()));
+    rows.push_back(run_config(env, "cascade (default)", cascade, 0, n, row_seed, pool.get()));
   }
   {
     diffusion::CascadeConfig cc;
     cc.polish_rounds = 0;
     diffusion::CascadeSampler cascade(env.chat->schedule(), coarse, fine, cc);
-    rows.push_back(run_config(env, "cascade, no MAP polish", cascade, 0, n, rng, pool.get()));
+    rows.push_back(run_config(env, "cascade, no MAP polish", cascade, 0, n, row_seed, pool.get()));
   }
   {
     diffusion::DiffusionSampler flat(env.chat->schedule(), fine);
-    rows.push_back(run_config(env, "single-res sequential", flat, 0, n, rng, pool.get()));
+    rows.push_back(run_config(env, "single-res sequential", flat, 0, n, row_seed, pool.get()));
   }
   {
     diffusion::DiffusionSampler flat(env.chat->schedule(), fine);
     flat.set_guidance(false);
-    rows.push_back(run_config(env, "single-res, no guidance", flat, 0, n, rng, pool.get()));
+    rows.push_back(run_config(env, "single-res, no guidance", flat, 0, n, row_seed, pool.get()));
   }
 
   // Topology selection (the step the paper removes for fair comparison):
@@ -205,10 +209,11 @@ int main(int argc, char** argv) {
                                       diffusion::CascadeConfig{});
     diffusion::SampleConfig sc;
     sc.sample_steps = 16;
+    util::Rng selection_rng(row_seed);
     const auto t0 = std::chrono::steady_clock::now();
     const core::SelectionResult sel = core::select_legal(
         cascade, env.legalizer(0), sc, bench::physical_for(env, 128),
-        bench::physical_for(env, 128), static_cast<int>(n), rng);
+        bench::physical_for(env, 128), static_cast<int>(n), selection_rng);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() /
         static_cast<double>(n);

@@ -19,10 +19,14 @@
 // Absolute numbers are sample-count limited on one CPU core (see DESIGN.md
 // S5); the orderings and gaps are what reproduces the paper.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "obs/registry.h"
 #include "util/cli.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace cp::bench {
 
@@ -49,6 +54,53 @@ struct Env {
 };
 
 /// Create `dir` (and parents) or die with a clear message.
+/// Timed repeats behind each row of a thread-scaling table.
+inline constexpr int kScalingRepeats = 3;
+
+/// One row of a thread-scaling table: the median wall seconds of a batch at
+/// `threads` compute threads, and the batch itself for the bit-identity audit.
+struct ScalingRun {
+  int threads = 1;
+  double seconds = 0;                    // median
+  double seconds_min = 0, seconds_max = 0;  // spread of the timed repeats
+  std::vector<squish::Topology> batch;
+};
+
+/// Times `sample(pool)` at 1, 2, 4, ... max_threads compute threads (1 runs
+/// serially, with no pool). Each count gets one untimed warm-up batch, then
+/// kScalingRepeats rounds time every count once, round-robin, and the row keeps the median.
+/// Without the warm-up, first-touch allocation and cold caches land on the
+/// 1-thread base row; without the interleaving, a slow phase of a shared
+/// machine lands on one row. Either makes a speedup read above N.
+inline std::vector<ScalingRun> time_thread_counts(
+    int max_threads,
+    const std::function<std::vector<squish::Topology>(util::ThreadPool*)>& sample) {
+  std::vector<ScalingRun> runs;
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (int threads = 1; threads <= max_threads; threads *= 2) {
+    runs.push_back(ScalingRun{});
+    runs.back().threads = threads;
+    pools.push_back(threads > 1 ? std::make_unique<util::ThreadPool>(threads) : nullptr);
+    runs.back().batch = sample(pools.back().get());
+  }
+  std::vector<std::vector<double>> sec(runs.size());
+  for (int rep = 0; rep < kScalingRepeats; ++rep) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      runs[i].batch = sample(pools[i].get());
+      sec[i].push_back(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+    }
+  }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    std::sort(sec[i].begin(), sec[i].end());
+    runs[i].seconds = sec[i][sec[i].size() / 2];
+    runs[i].seconds_min = sec[i].front();
+    runs[i].seconds_max = sec[i].back();
+  }
+  return runs;
+}
+
 inline void require_dir(const std::string& dir) {
   if (dir.empty() || dir == ".") return;
   std::error_code ec;

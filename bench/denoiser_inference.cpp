@@ -331,15 +331,13 @@ int main(int argc, char** argv) {
   double base_sec = 0.0;
   std::uint64_t base_hash = 0;
   bool deterministic = true;
-  for (int threads = 1; threads <= max_threads; threads *= 2) {
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-    const diffusion::BatchSampler batch(sampler, pool.get());
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<squish::Topology> out = batch.sample_batch(sc, count, root);
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    const std::uint64_t h = batch_hash(out);
+  for (const bench::ScalingRun& run :
+       bench::time_thread_counts(max_threads, [&](util::ThreadPool* pool) {
+         return diffusion::BatchSampler(sampler, pool).sample_batch(sc, count, root);
+       })) {
+    const int threads = run.threads;
+    const double sec = run.seconds;
+    const std::uint64_t h = batch_hash(run.batch);
     if (threads == 1) {
       base_sec = sec;
       base_hash = h;
@@ -358,6 +356,8 @@ int main(int argc, char** argv) {
     row["hardware_threads"] = hw;
     row["thread_starved"] = starved;
     row["seconds"] = sec;
+    row["seconds_min"] = run.seconds_min;
+    row["seconds_max"] = run.seconds_max;
     row["speedup_vs_1"] = base_sec / sec;
     row["bit_identical_to_1_thread"] = h == base_hash;
     rows.push_back(util::Json(std::move(row)));
@@ -390,6 +390,7 @@ int main(int argc, char** argv) {
   report["packed_substrate"] = util::Json(std::move(substrate_grids));
   report["packed_substrate_all_bit_identical"] = sub_identical;
   report["batch_samples"] = count;
+  report["batch_repeats"] = bench::kScalingRepeats;
   report["batch_deterministic_across_thread_counts"] = deterministic;
   report["batch_rows"] = util::Json(std::move(rows));
   std::ofstream out = bench::open_output(json_path);

@@ -1,7 +1,8 @@
 // Parallel batch-generation scaling: samples/sec of the ablation-sampler
 // workload (default cascade at 128^2, 16 visited steps) at 1/2/4/8 worker
-// threads, plus a determinism audit — every thread count must produce a
-// bit-identical batch, because sample i always consumes Rng stream fork(i)
+// threads (each row the median of 3 interleaved, warmed-up batches; see
+// bench::time_thread_counts), plus a determinism audit — every thread count
+// must produce a bit-identical batch, because sample i always consumes Rng stream fork(i)
 // (see diffusion/batch_sampler.h). Results are written to
 // BENCH_parallel.json (override with --json FILE).
 //
@@ -9,8 +10,6 @@
 // Speedup is bounded by the machine: on a single-core container every row
 // measures ~1x and the JSON records hardware_threads so readers can tell
 // scheduler overhead from genuine scaling.
-
-#include <chrono>
 
 #include "bench/common.h"
 #include "diffusion/batch_sampler.h"
@@ -81,16 +80,13 @@ int main(int argc, char** argv) {
   double base_sec = 0.0;
   std::uint64_t base_hash = 0;
   bool deterministic = true;
-  for (int threads = 1; threads <= max_threads; threads *= 2) {
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-    const diffusion::BatchSampler batch(cascade, pool.get());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<squish::Topology> out = batch.sample_batch(sc, n, root);
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    const std::uint64_t h = batch_hash(out);
+  for (const bench::ScalingRun& run :
+       bench::time_thread_counts(max_threads, [&](util::ThreadPool* pool) {
+         return diffusion::BatchSampler(cascade, pool).sample_batch(sc, n, root);
+       })) {
+    const int threads = run.threads;
+    const double sec = run.seconds;
+    const std::uint64_t h = batch_hash(run.batch);
     if (threads == 1) {
       base_sec = sec;
       base_hash = h;
@@ -105,6 +101,8 @@ int main(int argc, char** argv) {
     util::JsonObject row;
     row["threads"] = threads;
     row["seconds"] = sec;
+    row["seconds_min"] = run.seconds_min;
+    row["seconds_max"] = run.seconds_max;
     row["samples_per_sec"] = rate;
     row["speedup_vs_1"] = base_sec / sec;
     row["bit_identical_to_1_thread"] = h == base_hash;
@@ -118,6 +116,7 @@ int main(int argc, char** argv) {
   report["bench"] = "parallel_scaling";
   report["workload"] = "cascade sampler, 128x128, 16 visited steps, style Layer-10001";
   report["samples"] = n;
+  report["repeats"] = bench::kScalingRepeats;
   report["seed"] = static_cast<long long>(env.seed);
   report["hardware_threads"] = util::ThreadPool::hardware_threads();
   report["deterministic_across_thread_counts"] = deterministic;

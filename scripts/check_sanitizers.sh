@@ -3,9 +3,10 @@
 # one is meant for.
 #
 #   1. build-asan/ (CHATPATTERN_ASAN + CHATPATTERN_UBSAN): the parsers and
-#      persistence of untrusted bytes, the serving paths and the reverse
-#      kernel — corruption_test, io_test, pattlib_test, serve_test,
-#      core_test, sampler_oracle_test;
+#      persistence of untrusted bytes, the serving paths, the reverse kernel
+#      and the packed squish kernels' shifts and carries — corruption_test,
+#      io_test, pattlib_test, serve_test, core_test, sampler_oracle_test,
+#      squish_test;
 #   2. build-tsan/ (CHATPATTERN_TSAN): the concurrency suites —
 #      ctest -R 'thread_pool|batch|obs_stress|serve_stress'.
 #
@@ -19,7 +20,8 @@ set -euo pipefail
 ROOT="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 JOBS="${JOBS:-2}"
 
-ASAN_TESTS=(corruption_test io_test pattlib_test serve_test core_test sampler_oracle_test)
+ASAN_TESTS=(corruption_test io_test pattlib_test serve_test core_test sampler_oracle_test
+  squish_test)
 TSAN_REGEX='thread_pool|batch|obs_stress|serve_stress'
 TSAN_TESTS=(thread_pool_test batch_sampler_test mlp_batch_infer_test obs_stress_test
   serve_stress_test)

@@ -18,6 +18,22 @@ namespace {
 constexpr std::size_t kMaxBoundaryPoints = 8192;     // points per XY loop
 constexpr std::size_t kMaxBoundaryWork = 64u << 20;  // grid cells x edges
 
+/// A closed 5-point loop whose four edges alternate horizontal and vertical,
+/// each of nonzero length, is exactly one rect: its points 0 and 2 are
+/// opposite corners. Anything else (a back-tracking loop, a zero-length or
+/// diagonal edge, an open loop) is left to the scan-line decomposition.
+bool is_rect_loop(const std::vector<geometry::Point>& loop) {
+  if (loop.size() != 5 || loop[4] != loop[0]) return false;
+  const bool first_horizontal = loop[0].y == loop[1].y;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const geometry::Point& a = loop[i];
+    const geometry::Point& b = loop[i + 1];
+    const bool horizontal = (i % 2 == 0) == first_horizontal;
+    if (horizontal ? (a.y != b.y || a.x == b.x) : (a.x != b.x || a.y == b.y)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* record_name(std::uint16_t id) {
@@ -109,6 +125,12 @@ double get_real8(const unsigned char* p) {
 std::vector<geometry::Rect> boundary_to_rects(const std::vector<geometry::Point>& loop) {
   if (loop.size() < 4) throw std::runtime_error("gds: degenerate boundary");
   if (loop.size() > kMaxBoundaryPoints) throw std::runtime_error("gds: boundary too complex");
+  if (is_rect_loop(loop)) {
+    const geometry::Point& a = loop[0];
+    const geometry::Point& c = loop[2];
+    return {geometry::Rect{std::min(a.x, c.x), std::min(a.y, c.y), std::max(a.x, c.x),
+                           std::max(a.y, c.y)}};
+  }
   std::vector<geometry::Coord> xs, ys;
   for (const auto& p : loop) {
     xs.push_back(p.x);

@@ -48,8 +48,9 @@ void put_real8(std::string& out, double value);
 double get_real8(const unsigned char* p);
 
 /// Decompose a closed rectilinear XY loop into rects (even-odd fill over the
-/// scan-line grid). Throws std::runtime_error on degenerate or adversarially
-/// complex loops (the kMaxBoundary* guards).
+/// scan-line grid). A 5-point rectangle loop, what every writer emits for a
+/// rect, is returned directly. Throws std::runtime_error on degenerate or
+/// adversarially complex loops (the kMaxBoundary* guards).
 std::vector<geometry::Rect> boundary_to_rects(const std::vector<geometry::Point>& loop);
 
 }  // namespace cp::io

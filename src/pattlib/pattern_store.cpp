@@ -35,16 +35,13 @@ std::string serialize_pattern(const StoredPattern& e) {
   std::string p;
   put_u16(p, static_cast<std::uint16_t>(t.rows()));
   put_u16(p, static_cast<std::uint16_t>(t.cols()));
-  // Topology bits: row-major, 8 cells per byte, LSB first.
+  // Topology bits: row-major, 8 cells per byte, LSB first -- the low bytes
+  // of each packed row word, whose tail bits are zero.
   const int bytes_per_row = (t.cols() + 7) / 8;
   for (int r = 0; r < t.rows(); ++r) {
+    const std::uint64_t* row = t.row_words(r);
     for (int b = 0; b < bytes_per_row; ++b) {
-      unsigned char byte = 0;
-      for (int k = 0; k < 8; ++k) {
-        const int c = b * 8 + k;
-        if (c < t.cols() && t.at(r, c)) byte |= static_cast<unsigned char>(1u << k);
-      }
-      p.push_back(static_cast<char>(byte));
+      p.push_back(static_cast<char>(row[b >> 3] >> (8 * (b & 7))));
     }
   }
   auto put_deltas = [&p](const squish::DeltaVec& d) {
@@ -80,9 +77,14 @@ StoredPattern deserialize_pattern(std::string_view payload) {
   squish::Topology t(rows, cols);
   for (int r = 0; r < rows; ++r) {
     const std::string_view row = cur.bytes(static_cast<std::size_t>(bytes_per_row));
-    for (int c = 0; c < cols; ++c) {
-      if ((static_cast<unsigned char>(row[static_cast<std::size_t>(c / 8)]) >> (c % 8)) & 1u) {
-        t.set(r, c, 1);
+    std::uint64_t word = 0;
+    for (int b = 0; b < bytes_per_row; ++b) {
+      word |= std::uint64_t{static_cast<unsigned char>(row[static_cast<std::size_t>(b)])}
+              << (8 * (b & 7));
+      // xor_word onto zero bits sets them, and drops padding past `cols`.
+      if ((b & 7) == 7 || b + 1 == bytes_per_row) {
+        t.xor_word(r, b >> 3, word);
+        word = 0;
       }
     }
   }
@@ -108,19 +110,9 @@ StoredPattern deserialize_pattern(std::string_view payload) {
   return e;
 }
 
-}  // namespace
-
-const char* to_string(DrcStatus status) {
-  switch (status) {
-    case DrcStatus::kUnknown: return "unknown";
-    case DrcStatus::kClean: return "clean";
-    case DrcStatus::kViolating: return "violating";
-  }
-  return "unknown";
-}
-
-std::uint64_t topology_hash(const squish::Topology& t) {
-  const squish::Topology d = t.deduplicated();
+/// FNV-1a over the dimensions and packed words of an already deduplicated
+/// topology.
+std::uint64_t canonical_hash(const squish::Topology& d) {
   std::uint64_t h = 1469598103934665603ULL;
   auto fnv = [&h](std::uint64_t v) {
     h ^= v;
@@ -134,6 +126,19 @@ std::uint64_t topology_hash(const squish::Topology& t) {
   }
   return h;
 }
+
+}  // namespace
+
+const char* to_string(DrcStatus status) {
+  switch (status) {
+    case DrcStatus::kUnknown: return "unknown";
+    case DrcStatus::kClean: return "clean";
+    case DrcStatus::kViolating: return "violating";
+  }
+  return "unknown";
+}
+
+std::uint64_t topology_hash(const squish::Topology& t) { return canonical_hash(t.deduplicated()); }
 
 PatternStore::PatternStore(std::string path) : path_(std::move(path)) { open_and_replay(); }
 
@@ -197,7 +202,9 @@ AddResult PatternStore::add(const squish::SquishPattern& pattern, PatternMeta me
   if (!pattern.well_formed() || pattern.topology.empty()) {
     throw std::invalid_argument("pattlib: malformed or empty pattern");
   }
-  const std::uint64_t hash = topology_hash(pattern.topology);
+  // One deduplication yields both the dedup key and the complexity cache.
+  const squish::Topology canonical = pattern.topology.deduplicated();
+  const std::uint64_t hash = canonical_hash(canonical);
   if (const auto it = by_hash_.find(hash); it != by_hash_.end()) {
     ++dedup_rejects_;
     obs::count("pattlib/dedup_rejects");
@@ -208,9 +215,8 @@ AddResult PatternStore::add(const squish::SquishPattern& pattern, PatternMeta me
   e.pattern = pattern;
   e.meta = std::move(meta);
   e.meta.density = pattern.topology.density();
-  const auto [cx, cy] = pattern.topology.complexity();
-  e.meta.complexity_x = cx;
-  e.meta.complexity_y = cy;
+  e.meta.complexity_x = canonical.cols();
+  e.meta.complexity_y = canonical.rows();
   e.topology_hash = hash;
   append_record(kPatternRecord, serialize_pattern(e));
   by_hash_.emplace(hash, e.id);

@@ -1,6 +1,8 @@
 #include "squish/squish.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "geometry/extract.h"
@@ -31,44 +33,107 @@ bool SquishPattern::well_formed() const {
   return true;
 }
 
+namespace {
+
+/// The distinct scan lines of one axis, and the index of any edge among them.
+/// A bitmap over the window span ranks edges by popcount when the span is
+/// small next to the edge count (a 2048-nm window is 33 words); a wider
+/// span is sorted instead. Both give the same lines and indices.
+class ScanAxis {
+ public:
+  ScanAxis(Coord origin, Coord span, std::size_t edges) : origin_(origin) {
+    if ((span >> 6) < static_cast<Coord>(8 * edges)) {
+      bits_.assign(static_cast<std::size_t>(span >> 6) + 1, 0);
+    } else {
+      lines_.reserve(edges);
+    }
+  }
+
+  /// Add an edge at `v` in [origin, origin + span].
+  void add(Coord v) {
+    if (bits_.empty()) {
+      lines_.push_back(v);
+    } else {
+      const Coord off = v - origin_;
+      bits_[static_cast<std::size_t>(off >> 6)] |= std::uint64_t{1} << (off & 63);
+    }
+  }
+
+  /// Call once, after every add().
+  void finish() {
+    if (bits_.empty()) {
+      std::sort(lines_.begin(), lines_.end());
+      lines_.erase(std::unique(lines_.begin(), lines_.end()), lines_.end());
+      return;
+    }
+    prefix_.resize(bits_.size());
+    int count = 0;
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+      prefix_[w] = count;
+      count += std::popcount(bits_[w]);
+      for (std::uint64_t m = bits_[w]; m != 0; m &= m - 1) {
+        lines_.push_back(origin_ + static_cast<Coord>(w * 64 + std::countr_zero(m)));
+      }
+    }
+  }
+
+  const std::vector<Coord>& lines() const { return lines_; }
+
+  /// Index of the scan line at `v`, an added edge.
+  int index(Coord v) const {
+    if (bits_.empty()) {
+      return static_cast<int>(std::lower_bound(lines_.begin(), lines_.end(), v) - lines_.begin());
+    }
+    const Coord off = v - origin_;
+    const std::size_t w = static_cast<std::size_t>(off >> 6);
+    return prefix_[w] + std::popcount(bits_[w] & ((std::uint64_t{1} << (off & 63)) - 1));
+  }
+
+ private:
+  Coord origin_;
+  std::vector<std::uint64_t> bits_;  // empty: the sorted path
+  std::vector<int> prefix_;          // set bits in the words before each word
+  std::vector<Coord> lines_;
+};
+
+}  // namespace
+
 SquishPattern squish(const std::vector<Rect>& rects, const Rect& window) {
   if (window.empty()) throw std::invalid_argument("squish: empty window");
 
-  std::vector<Coord> xs{window.x0, window.x1};
-  std::vector<Coord> ys{window.y0, window.y1};
   std::vector<Rect> clipped;
   clipped.reserve(rects.size());
   for (const Rect& r : rects) {
     const Rect c = r.clipped_to(window);
-    if (c.empty()) continue;
-    clipped.push_back(c);
-    xs.push_back(c.x0);
-    xs.push_back(c.x1);
-    ys.push_back(c.y0);
-    ys.push_back(c.y1);
+    if (!c.empty()) clipped.push_back(c);
   }
-  std::sort(xs.begin(), xs.end());
-  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
-  std::sort(ys.begin(), ys.end());
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+  const std::size_t edges = 2 * clipped.size() + 2;
+  ScanAxis xs(window.x0, window.width(), edges);
+  ScanAxis ys(window.y0, window.height(), edges);
+  xs.add(window.x0);
+  xs.add(window.x1);
+  ys.add(window.y0);
+  ys.add(window.y1);
+  for (const Rect& c : clipped) {
+    xs.add(c.x0);
+    xs.add(c.x1);
+    ys.add(c.y0);
+    ys.add(c.y1);
+  }
+  xs.finish();
+  ys.finish();
 
-  const int cols = static_cast<int>(xs.size()) - 1;
-  const int rows = static_cast<int>(ys.size()) - 1;
+  const int cols = static_cast<int>(xs.lines().size()) - 1;
+  const int rows = static_cast<int>(ys.lines().size()) - 1;
   SquishPattern out;
   out.topology = Topology(rows, cols);
   out.dx.resize(cols);
   out.dy.resize(rows);
-  for (int c = 0; c < cols; ++c) out.dx[c] = xs[c + 1] - xs[c];
-  for (int r = 0; r < rows; ++r) out.dy[r] = ys[r + 1] - ys[r];
+  for (int c = 0; c < cols; ++c) out.dx[c] = xs.lines()[c + 1] - xs.lines()[c];
+  for (int r = 0; r < rows; ++r) out.dy[r] = ys.lines()[r + 1] - ys.lines()[r];
 
   for (const Rect& r : clipped) {
-    const int c0 = static_cast<int>(std::lower_bound(xs.begin(), xs.end(), r.x0) - xs.begin());
-    const int c1 = static_cast<int>(std::lower_bound(xs.begin(), xs.end(), r.x1) - xs.begin());
-    const int r0 = static_cast<int>(std::lower_bound(ys.begin(), ys.end(), r.y0) - ys.begin());
-    const int r1 = static_cast<int>(std::lower_bound(ys.begin(), ys.end(), r.y1) - ys.begin());
-    for (int rr = r0; rr < r1; ++rr) {
-      for (int cc = c0; cc < c1; ++cc) out.topology.set(rr, cc, 1);
-    }
+    out.topology.fill(ys.index(r.y0), xs.index(r.x0), ys.index(r.y1), xs.index(r.x1));
   }
   return out;
 }

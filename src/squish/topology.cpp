@@ -55,6 +55,73 @@ std::uint64_t bit_reverse(std::uint64_t v) {
   return (v >> 32) | (v << 32);
 }
 
+/// Fixed-mask bit compress (Hacker's Delight 7-4): gathers the bits of a
+/// word selected by `mask` into its low popcount(mask) bits, in order. The
+/// shift masks depend only on `mask`, so they are built once per column word
+/// and every row word then compresses in six shift-and-merge steps.
+class Compress {
+ public:
+  explicit Compress(std::uint64_t mask) : mask_(mask) {
+    std::uint64_t mk = ~mask << 1;  // counts the zeros to the right of each bit
+    for (int i = 0; i < 6; ++i) {
+      std::uint64_t mp = mk ^ (mk << 1);  // parallel suffix
+      mp ^= mp << 2;
+      mp ^= mp << 4;
+      mp ^= mp << 8;
+      mp ^= mp << 16;
+      mp ^= mp << 32;
+      move_[i] = mp & mask;
+      mask = (mask ^ move_[i]) | (move_[i] >> (1 << i));
+      mk &= ~mp;
+    }
+  }
+  std::uint64_t operator()(std::uint64_t x) const {
+    x &= mask_;
+    for (int i = 0; i < 6; ++i) {
+      const std::uint64_t t = x & move_[i];
+      x = (x ^ t) | (t >> (1 << i));
+    }
+    return x;
+  }
+
+ private:
+  std::uint64_t mask_;
+  std::uint64_t move_[6] = {};
+};
+
+/// The scan lines deduplication keeps: every row that differs from the row
+/// above, and a packed mask of every column that differs from the column to
+/// its left (row 0 and column 0 always).
+struct ScanLines {
+  std::vector<int> rows;
+  std::vector<std::uint64_t> cols;
+  int col_count = 0;
+};
+
+ScanLines distinct_scan_lines(const Topology& t) {
+  ScanLines s;
+  const int wpr = t.words_per_row();
+  s.rows.push_back(0);
+  for (int r = 1; r < t.rows(); ++r) {
+    if (!t.rows_equal(r, r - 1)) s.rows.push_back(r);
+  }
+  // Bit c of row ^ (row << 1 | carry) is cell c xor cell c - 1. A duplicate
+  // row adds no new difference, so only the kept rows are scanned.
+  s.cols.assign(static_cast<std::size_t>(wpr), 0);
+  for (const int r : s.rows) {
+    const std::uint64_t* row = t.row_words(r);
+    std::uint64_t carry = 0;
+    for (int w = 0; w < wpr; ++w) {
+      s.cols[w] |= row[w] ^ ((row[w] << 1) | carry);
+      carry = row[w] >> 63;
+    }
+  }
+  s.cols[0] |= 1;
+  s.cols[wpr - 1] &= t.tail_mask();  // the shift carries cell cols-1 into the tail
+  for (const std::uint64_t w : s.cols) s.col_count += std::popcount(w);
+  return s;
+}
+
 }  // namespace
 
 Topology::Topology(int rows, int cols, std::uint8_t fill)
@@ -143,6 +210,27 @@ void Topology::paste(const Topology& tile, int r0, int c0) {
   }
 }
 
+void Topology::fill(int r0, int c0, int r1, int c1) {
+  if (r0 < 0 || c0 < 0 || r1 > rows_ || c1 > cols_ || r0 > r1 || c0 > c1) {
+    throw std::out_of_range("Topology::fill: bad bounds");
+  }
+  if (c0 == c1) return;
+  const int w0 = c0 >> 6;
+  const int w1 = (c1 - 1) >> 6;
+  const std::uint64_t first = ~std::uint64_t{0} << (c0 & 63);
+  const std::uint64_t last = bitgrid_tail_mask(c1);  // cells below c1 in word w1
+  for (int r = r0; r < r1; ++r) {
+    std::uint64_t* row = words_.data() + word_index(r, 0);
+    if (w0 == w1) {
+      row[w0] |= first & last;
+      continue;
+    }
+    row[w0] |= first;
+    for (int w = w0 + 1; w < w1; ++w) row[w] = ~std::uint64_t{0};
+    row[w1] |= last;
+  }
+}
+
 Topology Topology::transposed() const {
   Topology out(cols_, rows_);
   for (int bi = 0; bi * 64 < rows_; ++bi) {
@@ -203,26 +291,39 @@ bool Topology::cols_equal(int a, int b) const {
 
 Topology Topology::deduplicated() const {
   if (empty()) return Topology();
-  std::vector<int> keep_rows{0};
-  for (int r = 1; r < rows_; ++r) {
-    if (!rows_equal(r, keep_rows.back())) keep_rows.push_back(r);
-  }
-  std::vector<int> keep_cols{0};
-  for (int c = 1; c < cols_; ++c) {
-    if (!cols_equal(c, keep_cols.back())) keep_cols.push_back(c);
-  }
-  Topology out(static_cast<int>(keep_rows.size()), static_cast<int>(keep_cols.size()));
-  for (std::size_t r = 0; r < keep_rows.size(); ++r) {
-    for (std::size_t c = 0; c < keep_cols.size(); ++c) {
-      out.set(static_cast<int>(r), static_cast<int>(c), at(keep_rows[r], keep_cols[c]));
+  const ScanLines keep = distinct_scan_lines(*this);
+  Topology out(static_cast<int>(keep.rows.size()), keep.col_count);
+  std::uint64_t* dst = out.words_.data();
+  if (keep.col_count == cols_) {
+    for (const int r : keep.rows) {
+      dst = std::copy(row_words(r), row_words(r) + words_per_row_, dst);
     }
+    return out;
+  }
+  std::vector<Compress> gather;
+  gather.reserve(keep.cols.size());
+  for (const std::uint64_t m : keep.cols) gather.emplace_back(m);
+  for (const int r : keep.rows) {
+    const std::uint64_t* row = row_words(r);
+    int pos = 0;  // next output bit of this row
+    for (int w = 0; w < words_per_row_; ++w) {
+      const int n = std::popcount(keep.cols[w]);
+      if (n == 0) continue;
+      const std::uint64_t v = gather[w](row[w]);
+      const int sh = pos & 63;
+      dst[pos >> 6] |= v << sh;
+      if (sh != 0 && sh + n > 64) dst[(pos >> 6) + 1] |= v >> (64 - sh);
+      pos += n;
+    }
+    dst += out.words_per_row_;
   }
   return out;
 }
 
 std::pair<int, int> Topology::complexity() const {
-  const Topology d = deduplicated();
-  return {d.cols(), d.rows()};
+  if (empty()) return {0, 0};
+  const ScanLines keep = distinct_scan_lines(*this);
+  return {keep.col_count, static_cast<int>(keep.rows.size())};
 }
 
 std::string Topology::to_ascii() const {

@@ -96,6 +96,10 @@ class Topology {
   /// Paste `tile` with its top-left cell at (r0, c0); clips at the border.
   void paste(const Topology& tile, int r0, int c0);
 
+  /// Set every cell of the half-open block [r0,r1) x [c0,c1), a word at a
+  /// time. Throws std::out_of_range on bounds outside the grid.
+  void fill(int r0, int c0, int r1, int c1);
+
   /// Transforms used by the rule-based augmentation baseline.
   Topology transposed() const;
   Topology flipped_horizontal() const;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "io/gds_records.h"
 #include "squish/squish.h"
 #include "util/rng.h"
 
@@ -89,6 +90,37 @@ TEST(GdsTest, RectilinearLShapeBoundaryDecomposed) {
   geometry::Coord area = 0;
   for (const Rect& r : back.structures[0].rects) area += r.area();
   EXPECT_EQ(area, 300 + 200);
+}
+
+using geometry::Point;
+
+TEST(BoundaryToRectsTest, RectLoopFromEveryCornerAndWinding) {
+  const Rect rect{-5, 10, 20, 40};
+  const Point corners[4] = {{-5, 10}, {20, 10}, {20, 40}, {-5, 40}};  // counter-clockwise
+  for (int start = 0; start < 4; ++start) {
+    for (const int step : {1, 3}) {  // 3 = one back, i.e. clockwise
+      std::vector<Point> loop;
+      for (int i = 0; i <= 4; ++i) loop.push_back(corners[(start + step * i) % 4]);
+      EXPECT_EQ(boundary_to_rects(loop), std::vector<Rect>{rect})
+          << "start " << start << " step " << step;
+    }
+  }
+}
+
+TEST(BoundaryToRectsTest, NonRectLoopsKeepTheScanLineResult) {
+  // Only axis-parallel edges, but it back-tracks: even-odd reads it as empty.
+  EXPECT_EQ(boundary_to_rects({{0, 0}, {2, 0}, {2, 1}, {2, 0}, {0, 0}}), std::vector<Rect>{});
+  // Zero width and zero height: no scan-line cell at all.
+  EXPECT_THROW(boundary_to_rects({{3, 0}, {3, 0}, {3, 4}, {3, 4}, {3, 0}}), std::runtime_error);
+  EXPECT_THROW(boundary_to_rects({{0, 7}, {5, 7}, {5, 7}, {0, 7}, {0, 7}}), std::runtime_error);
+  // One diagonal edge: the ray cast counts the vertical edges only.
+  EXPECT_EQ(boundary_to_rects({{0, 0}, {4, 0}, {4, 4}, {2, 4}, {0, 0}}),
+            (std::vector<Rect>{{0, 0, 4, 4}}));
+  // An L-shape goes down the scan-line path too.
+  EXPECT_EQ(canon(boundary_to_rects({{0, 0}, {30, 0}, {30, 10}, {10, 10}, {10, 30}, {0, 30},
+                                     {0, 0}})),
+            canon({{0, 0, 30, 10}, {0, 10, 10, 30}}));
+  EXPECT_THROW(boundary_to_rects({{0, 0}, {1, 0}, {0, 0}}), std::runtime_error);
 }
 
 TEST(GdsTest, ReadRejectsGarbage) {

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/gds.h"
 #include "pattlib/ingest.h"
 #include "util/fs.h"
+#include "util/rng.h"
 
 namespace cp::pattlib {
 namespace {
@@ -194,6 +198,104 @@ TEST(IngestTest, LayerFilterAndWindowCap) {
     EXPECT_EQ(st.added + st.deduped, 3);
   }
   std::remove(path.c_str());
+}
+
+/// The fixed library behind the pinned-store test. Its windows cover what
+/// the ingest kernels branch on:
+///  - "GRID": perfbench-shaped 256-nm rect grid; some rects are written
+///    from other start corners and windings (swapped x or y);
+///  - "VBARS" / "HBARS": overlapping full-span bars, so windows have more
+///    than 64 scan lines and redundant ones that dedup drops;
+///  - "GRID_COPY": GRID shifted by a window multiple, so every window dedups.
+io::GdsLibrary pinned_library() {
+  io::GdsLibrary lib;
+  lib.name = "PINNED";
+  util::Rng rng(20240601);
+  io::GdsStructure grid;
+  grid.name = "GRID";
+  for (int i = 0; i < 256; ++i) {
+    const Coord x = (i % 16) * 256;
+    const Coord y = (i / 16) * 256;
+    const Coord w = 96 + static_cast<Coord>(rng.next_u64() % 96);
+    const Coord h = 96 + static_cast<Coord>(rng.next_u64() % 96);
+    Rect r{x, y, x + w, y + h};
+    if (i % 3 == 1) std::swap(r.x0, r.x1);
+    if (i % 5 == 2) std::swap(r.y0, r.y1);
+    grid.rects.push_back(r);
+  }
+  io::GdsStructure vbars;
+  vbars.name = "VBARS";
+  vbars.layer = 2;
+  io::GdsStructure hbars;
+  hbars.name = "HBARS";
+  const Coord spans[3][2] = {{0, 2048}, {512, 1536}, {1024, 2048}};
+  for (int i = 0; i < 160; ++i) {
+    const Coord a = static_cast<Coord>(rng.next_u64() % 4000);
+    const Coord w = 4 + static_cast<Coord>(rng.next_u64() % 30);
+    const Coord* s = spans[rng.next_u64() % 3];
+    vbars.rects.push_back({a, s[0], a + w, s[1]});
+    hbars.rects.push_back({s[0], a, s[1], a + w});
+  }
+  io::GdsStructure copy = grid;
+  copy.name = "GRID_COPY";
+  for (Rect& r : copy.rects) r = {r.x0 + 8192, r.y0 + 2048, r.x1 + 8192, r.y1 + 2048};
+  lib.structures = {grid, vbars, hbars, copy};
+  return lib;
+}
+
+TEST(IngestTest, PinnedStoreBytes) {
+  // The CPPL bytes an ingest writes are a format: this pins them, so a
+  // rewrite of the windowing, dedup or record codec cannot move one. The
+  // GDS path is recorded in every record, so ingest a relative one.
+  const std::filesystem::path dir = temp_path("pinned_ingest");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  io::write_gds("pinned.gds", pinned_library());
+  IngestStats st;
+  {
+    PatternStore store("pinned.cppl");
+    st = ingest_gds("pinned.gds", store, IngestConfig{});
+  }
+  const std::string bytes = util::read_file("pinned.cppl");
+  PatternStore reopened("pinned.cppl");
+  std::filesystem::current_path(cwd);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(st.windows_kept, 12);
+  EXPECT_EQ(st.added, 8);
+  EXPECT_EQ(st.deduped, 4);
+  EXPECT_EQ(bytes.size(), 8413u);
+  EXPECT_EQ(util::crc32(bytes), 2183767584u);
+  // Replay recomputes the canonical hash; the metric cache is read back.
+  struct Pinned {
+    std::uint64_t hash;
+    int complexity_x, complexity_y;
+    double density;
+    int rows, cols;
+  };
+  const Pinned pinned[] = {
+      {0xe40c232ae293b919ULL, 71, 72, 0.26291079812206575, 72, 71},
+      {0x703927355f6d76aaULL, 70, 72, 0.26250000000000001, 72, 70},
+      {0xc5c6d9c11def0a1eULL, 69, 72, 0.25241545893719808, 72, 69},
+      {0x635ed0aaa645c045ULL, 66, 71, 0.24669227486128895, 71, 66},
+      {0x28deb260ff2e14aaULL, 115, 4, 0.56857142857142862, 4, 175},
+      {0x512a355bf4130bf9ULL, 90, 4, 0.49427480916030536, 4, 131},
+      {0x2148387150d2284bULL, 4, 115, 0.56857142857142862, 175, 4},
+      {0x9e2b93ce94b30c63ULL, 4, 90, 0.49427480916030536, 131, 4},
+  };
+  ASSERT_EQ(reopened.size(), std::size(pinned));
+  for (std::uint64_t id = 0; id < reopened.size(); ++id) {
+    const StoredPattern& e = reopened.at(id);
+    const Pinned& p = pinned[id];
+    EXPECT_EQ(e.topology_hash, p.hash) << "record " << id;
+    EXPECT_EQ(e.meta.complexity_x, p.complexity_x) << "record " << id;
+    EXPECT_EQ(e.meta.complexity_y, p.complexity_y) << "record " << id;
+    EXPECT_DOUBLE_EQ(e.meta.density, p.density) << "record " << id;
+    EXPECT_EQ(e.pattern.topology.rows(), p.rows) << "record " << id;
+    EXPECT_EQ(e.pattern.topology.cols(), p.cols) << "record " << id;
+  }
 }
 
 TEST(IngestTest, CorruptGdsFailsCleanlyStorePreserved) {

@@ -100,6 +100,51 @@ TEST(SquishTest, SquishUnsquishRoundTripOnRandomPatterns) {
   }
 }
 
+TEST(SquishTest, NarrowAndWideWindowsAgree) {
+  // A narrow window ranks its scan lines with a bitmap over the span, a
+  // wide one by sorting. Scaling a layout leaves its topology unchanged, so
+  // both must produce the same grid, with deltas scaled.
+  constexpr geometry::Coord kScale = 100000;
+  util::Rng rng(17);
+  for (int trial = 0; trial < 50; ++trial) {
+    const geometry::Coord ox = rng.uniform_int(-3000, 3000);
+    const geometry::Coord oy = rng.uniform_int(-3000, 3000);
+    const geometry::Coord side = rng.uniform_int(1, 4) * 64 + rng.uniform_int(0, 1);
+    const Rect window{ox, oy, ox + side, oy + side};
+    std::vector<Rect> rects;
+    const int n = rng.uniform_int(0, 40);
+    for (int i = 0; i < n; ++i) {
+      // Some rects overhang the window, so clipped edges land on its border.
+      const geometry::Coord x = ox + rng.uniform_int(-10, static_cast<int>(side));
+      const geometry::Coord y = oy + rng.uniform_int(-10, static_cast<int>(side));
+      rects.push_back({x, y, x + rng.uniform_int(1, 40), y + rng.uniform_int(1, 40)});
+    }
+    std::vector<Rect> scaled;
+    for (const Rect& r : rects) {
+      scaled.push_back({r.x0 * kScale, r.y0 * kScale, r.x1 * kScale, r.y1 * kScale});
+    }
+    const SquishPattern narrow = squish(rects, window);
+    const SquishPattern wide = squish(scaled, {window.x0 * kScale, window.y0 * kScale,
+                                               window.x1 * kScale, window.y1 * kScale});
+    EXPECT_EQ(narrow.topology, wide.topology) << "trial " << trial;
+    ASSERT_EQ(narrow.dx.size(), wide.dx.size());
+    ASSERT_EQ(narrow.dy.size(), wide.dy.size());
+    for (std::size_t c = 0; c < narrow.dx.size(); ++c) EXPECT_EQ(narrow.dx[c] * kScale, wide.dx[c]);
+    for (std::size_t r = 0; r < narrow.dy.size(); ++r) EXPECT_EQ(narrow.dy[r] * kScale, wide.dy[r]);
+    // A cell is filled iff some rect covers its lower-left corner.
+    geometry::Coord y = oy;
+    for (int r = 0; r < narrow.topology.rows(); y += narrow.dy[r++]) {
+      geometry::Coord x = ox;
+      for (int c = 0; c < narrow.topology.cols(); x += narrow.dx[c++]) {
+        const bool covered = std::any_of(rects.begin(), rects.end(), [&](const Rect& rect) {
+          return rect.contains({x, y});
+        });
+        EXPECT_EQ(narrow.topology.at(r, c), covered ? 1 : 0) << "trial " << trial;
+      }
+    }
+  }
+}
+
 TEST(SquishTest, WellFormedRejectsBadDeltas) {
   SquishPattern p;
   p.topology = Topology(1, 2);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "squish/topology.h"
@@ -115,6 +117,30 @@ TEST(TopologyPropertyTest, PasteMatchesReference) {
   }
 }
 
+TEST(TopologyPropertyTest, FillMatchesReference) {
+  util::Rng rng(108);
+  for (const Shape& s : kShapes) {
+    for (int trial = 0; trial < 8; ++trial) {
+      Topology t;
+      ByteTopology b;
+      random_pair(rng, s.rows, s.cols, 0.3, &t, &b);
+      const int r0 = rng.uniform_int(0, s.rows);
+      const int r1 = rng.uniform_int(r0, s.rows);
+      const int c0 = rng.uniform_int(0, s.cols);
+      const int c1 = rng.uniform_int(c0, s.cols);
+      t.fill(r0, c0, r1, c1);
+      for (int r = r0; r < r1; ++r) {
+        for (int c = c0; c < c1; ++c) b.set(r, c, 1);
+      }
+      EXPECT_EQ(t, b.packed()) << s.rows << "x" << s.cols << " fill [" << r0 << "," << r1
+                               << ")x[" << c0 << "," << c1 << ")";
+    }
+  }
+  Topology t(2, 3);
+  EXPECT_THROW(t.fill(0, 0, 3, 1), std::out_of_range);
+  EXPECT_THROW(t.fill(0, 2, 1, 1), std::out_of_range);
+}
+
 TEST(TopologyPropertyTest, TransposeAndFlipsMatchReference) {
   util::Rng rng(104);
   for (const Shape& s : kShapes) {
@@ -160,6 +186,54 @@ TEST(TopologyPropertyTest, RowColEqualityAndDedupMatchReference) {
       }
     }
     EXPECT_EQ(t.deduplicated(), b.deduplicated().packed()) << s.rows << "x" << s.cols;
+  }
+}
+
+/// Run lengths of 1-3 that sum to exactly `total`.
+std::vector<int> random_runs(util::Rng& rng, int total) {
+  std::vector<int> runs;
+  for (int left = total; left > 0;) {
+    const int n = std::min(left, rng.uniform_int(1, 3));
+    runs.push_back(n);
+    left -= n;
+  }
+  return runs;
+}
+
+TEST(TopologyPropertyTest, DedupOfRepeatedRunsMatchesReference) {
+  // Random fills almost never hold equal adjacent columns. Here every column
+  // and row of a random base grid repeats 1-3 times, so dropped columns land
+  // on both sides of each word boundary and the carry between words matters.
+  util::Rng rng(107);
+  for (const int cols : {63, 64, 65, 127, 129, 200}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::vector<int> col_runs = random_runs(rng, cols);
+      const std::vector<int> row_runs = random_runs(rng, rng.uniform_int(1, 24));
+      const double density = trial == 0 ? 0.0 : trial == 1 ? 1.0 : 0.5;
+      std::vector<std::uint8_t> base(row_runs.size() * col_runs.size());
+      for (std::uint8_t& v : base) v = rng.bernoulli(density) ? 1 : 0;
+      int rows = 0;
+      for (const int n : row_runs) rows += n;
+      Topology t(rows, cols);
+      ByteTopology b(rows, cols);
+      int r = 0;
+      for (std::size_t i = 0; i < row_runs.size(); ++i) {
+        for (int k = 0; k < row_runs[i]; ++k, ++r) {
+          int c = 0;
+          for (std::size_t j = 0; j < col_runs.size(); ++j) {
+            for (int m = 0; m < col_runs[j]; ++m, ++c) {
+              const std::uint8_t v = base[i * col_runs.size() + j];
+              t.set(r, c, v);
+              b.set(r, c, v);
+            }
+          }
+        }
+      }
+      const ByteTopology expected = b.deduplicated();
+      EXPECT_EQ(t.deduplicated(), expected.packed()) << rows << "x" << cols << " #" << trial;
+      EXPECT_EQ(t.complexity(), std::make_pair(expected.cols(), expected.rows()))
+          << rows << "x" << cols << " #" << trial;
+    }
   }
 }
 

@@ -159,6 +159,27 @@ TEST(FsTest, Crc32KnownVector) {
   EXPECT_EQ(crc32("6789", crc32("12345")), crc32("123456789"));
 }
 
+TEST(FsTest, Crc32MatchesBytewiseDefinition) {
+  // Every length around the 8-byte stride, and every split point of a
+  // chained checksum, against the bit-at-a-time definition.
+  auto reference = [](std::string_view data) {
+    std::uint32_t c = 0xffffffffu;
+    for (const char ch : data) {
+      c ^= static_cast<unsigned char>(ch);
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+  };
+  Rng rng(11);
+  std::string data;
+  for (int i = 0; i < 41; ++i) data.push_back(static_cast<char>(rng.next_u64() & 0xff));
+  const std::string_view all(data);
+  for (std::size_t n = 0; n <= all.size(); ++n) {
+    EXPECT_EQ(crc32(all.substr(0, n)), reference(all.substr(0, n))) << n;
+    EXPECT_EQ(crc32(all.substr(n), crc32(all.substr(0, n))), reference(all)) << n;
+  }
+}
+
 TEST(FsTest, AtomicWriteRoundTripAndOverwrite) {
   const std::string path = temp_path("cp_fs_atomic.bin");
   atomic_write_file(path, "first contents");
